@@ -1,29 +1,20 @@
-// Observability capture-path overhead gate (perf-smoke).
+// Observability overhead gate (perf-smoke).
 //
 // Times the steady-state SCR getPlan loop (warm cache, oracle-backed
-// optimizer, ~all check hits) under three capture configurations:
-//   - disabled:  no tracer, no metrics — the shipping default; cost must
-//                stay a few null-pointer checks
-//   - mutex:     legacy single-ring Tracer + MetricsRegistry (every
-//                Record takes one global lock)
-//   - spsc:      RingTracer (per-thread SPSC rings + exporter thread) +
-//                MetricsRegistry — the serving default
-// and the raw Record primitive single-threaded and with 4 contending
-// producers, where the lock-free rings are supposed to earn their keep.
+// optimizer, ~all check hits) with observability disabled (no tracer, no
+// metrics — cost must stay a few null-pointer checks) and traced
+// (RingTracer + MetricsRegistry, the production configuration: per-thread
+// SPSC rings drained by an exporter thread), plus the raw Record
+// primitive single-threaded and with 4 contending producers.
 //
 // Emits machine-readable BENCH_obs.json (baseline kept in
-// bench/baselines/). The CI gate is relative, not absolute: the SPSC
-// enabled-path overhead over disabled must not exceed the legacy mutexed
-// overhead (--max-overhead-ratio=1.0), so the serving default can never
-// regress below the fallback it replaced.
+// bench/baselines/). The CI gate bounds what tracing adds to a decision:
+// traced getPlan time over untraced must not exceed --max-traced-ratio.
 //
 // Flags:
-//   --out=PATH                output JSON path (default BENCH_obs.json)
-//   --max-overhead-ratio=R    exit non-zero unless
-//                             spsc_overhead <= R * mutex_overhead + 50ns
-//                             (tolerance absorbs shared-runner noise on
-//                             overheads that are deltas of ~microsecond
-//                             measurements)
+//   --out=PATH               output JSON path (default BENCH_obs.json)
+//   --max-traced-ratio=R     exit non-zero unless traced_ns <= R *
+//                            disabled_ns
 #include <algorithm>
 #include <chrono>
 #include <cmath>
@@ -37,7 +28,6 @@
 
 #include "obs/metrics_registry.h"
 #include "obs/ring_tracer.h"
-#include "obs/trace.h"
 #include "pqo/scr.h"
 #include "workload/instance_gen.h"
 #include "workload/runner.h"
@@ -117,7 +107,7 @@ struct Fixture {
 
 DecisionEvent BenchEvent() {
   DecisionEvent ev;
-  ev.technique = "SCR2";
+  ev.technique = NameId::Intern("SCR2");
   ev.outcome = DecisionOutcome::kSelCheckHit;
   ev.g = 1.1;
   ev.l = 1.1;
@@ -128,7 +118,7 @@ DecisionEvent BenchEvent() {
 
 /// Record ns/op with `threads` producers hammering one tracer. Wall-clock
 /// over all threads divided by total events, best of 8 rounds.
-double ContendedRecordNs(Tracer& tracer, int threads) {
+double ContendedRecordNs(RingTracer& tracer, int threads) {
   constexpr int kPerThread = 20000;
   double best = 1e18;
   for (int round = 0; round < 8; ++round) {
@@ -153,12 +143,12 @@ double ContendedRecordNs(Tracer& tracer, int threads) {
 
 int main(int argc, char** argv) {
   std::string out_path = "BENCH_obs.json";
-  double max_overhead_ratio = 0.0;
+  double max_traced_ratio = 0.0;
   for (int i = 1; i < argc; ++i) {
     if (std::strncmp(argv[i], "--out=", 6) == 0) {
       out_path = argv[i] + 6;
-    } else if (std::strncmp(argv[i], "--max-overhead-ratio=", 21) == 0) {
-      max_overhead_ratio = std::atof(argv[i] + 21);
+    } else if (std::strncmp(argv[i], "--max-traced-ratio=", 19) == 0) {
+      max_traced_ratio = std::atof(argv[i] + 19);
     } else {
       std::fprintf(stderr, "unknown flag: %s\n", argv[i]);
       return 2;
@@ -167,64 +157,44 @@ int main(int argc, char** argv) {
 
   Fixture f;
 
-  const double disabled_ns = f.GetPlanNs(nullptr);
-
-  // The gated quantity is the *serving-thread* cost of capture — the
-  // work each tracer leaves on the getPlan critical path. For the SPSC
-  // config: on a multi-core host the exporter drains on its own core and
-  // the timed loop measures exactly that; on a single-core host the
-  // exporter time-slices into the loop, so we space the wakes out (50ms
-  // against ~10ms timed windows) and size the ring to absorb a full
-  // interval without dropping. The min-of-16-windows statistic then
-  // lands on wake-free windows and measures the same producer-side
-  // quantity on any host; exporter-inclusive cost is visible in the
-  // contended Record numbers below, which keep the default drain
-  // cadence. The two configs are measured interleaved (min over rounds)
-  // so slow cross-run drift — CPU frequency, noisy neighbours — shifts
-  // both sides of the gate instead of whichever config ran second.
-  double mutex_ns = 1e18;
-  double spsc_ns = 1e18;
+  // The gated quantity is the *serving-thread* cost of tracing — the work
+  // left on the getPlan critical path. On a multi-core host the exporter
+  // drains on its own core and the timed loop measures exactly that; on a
+  // single-core host the exporter time-slices into the loop, so we space
+  // the wakes out (50ms against ~10ms timed windows) and size the ring to
+  // absorb a full interval without dropping. The min-of-16-windows
+  // statistic then lands on wake-free windows and measures the same
+  // producer-side quantity on any host; exporter-inclusive cost is visible
+  // in the contended Record numbers below, which keep the default drain
+  // cadence. Both configs are measured interleaved (min over rounds) so
+  // slow cross-run drift — CPU frequency, noisy neighbours — shifts both
+  // sides of the ratio instead of whichever config ran second.
+  double disabled_ns = 1e18;
+  double traced_ns = 1e18;
   for (int round = 0; round < 3; ++round) {
-    {
-      Tracer tracer(1 << 16);
-      MetricsRegistry registry;
-      ObsHooks hooks{&tracer, &registry};
-      mutex_ns = std::min(mutex_ns, f.GetPlanNs(&hooks));
-    }
-    {
-      RingTracer::Options opts;
-      opts.ring_capacity = 1 << 17;
-      opts.window_capacity = 1 << 16;
-      opts.drain_interval_micros = 50000;
-      RingTracer tracer(opts);
-      MetricsRegistry registry;
-      ObsHooks hooks{&tracer, &registry};
-      spsc_ns = std::min(spsc_ns, f.GetPlanNs(&hooks));
-    }
+    disabled_ns = std::min(disabled_ns, f.GetPlanNs(nullptr));
+    RingTracer::Options opts;
+    opts.ring_capacity = 1 << 17;
+    opts.window_capacity = 1 << 16;
+    opts.drain_interval_micros = 50000;
+    RingTracer tracer(opts);
+    MetricsRegistry registry;
+    ObsHooks hooks{&tracer, &registry};
+    traced_ns = std::min(traced_ns, f.GetPlanNs(&hooks));
   }
+  const double traced_ratio = traced_ns / disabled_ns;
+  std::printf("getPlan: disabled=%.1fns traced=%.1fns (+%.1f, %.2fx)\n",
+              disabled_ns, traced_ns, traced_ns - disabled_ns,
+              traced_ratio);
 
-  const double mutex_overhead = mutex_ns - disabled_ns;
-  const double spsc_overhead = spsc_ns - disabled_ns;
-  std::printf("getPlan: disabled=%.1fns mutex=%.1fns (+%.1f) "
-              "spsc=%.1fns (+%.1f)\n",
-              disabled_ns, mutex_ns, mutex_overhead, spsc_ns,
-              spsc_overhead);
-
-  double record_mutex_1t, record_spsc_1t, record_mutex_4t, record_spsc_4t;
-  {
-    Tracer tracer(1 << 16);
-    record_mutex_1t = ContendedRecordNs(tracer, 1);
-    record_mutex_4t = ContendedRecordNs(tracer, 4);
-  }
+  double record_1t, record_4t;
   {
     RingTracer tracer;
-    record_spsc_1t = ContendedRecordNs(tracer, 1);
-    record_spsc_4t = ContendedRecordNs(tracer, 4);
+    record_1t = ContendedRecordNs(tracer, 1);
+    record_4t = ContendedRecordNs(tracer, 4);
   }
-  std::printf("Record 1 thread : mutex=%.1fns spsc=%.1fns\n",
-              record_mutex_1t, record_spsc_1t);
-  std::printf("Record 4 threads: mutex=%.1fns spsc=%.1fns (per event)\n",
-              record_mutex_4t, record_spsc_4t);
+  std::printf("Record 1 thread : %.1fns\n", record_1t);
+  std::printf("Record 4 threads: %.1fns (per event)\n", record_4t);
 
   FILE* out = std::fopen(out_path.c_str(), "w");
   if (out == nullptr) {
@@ -233,36 +203,25 @@ int main(int argc, char** argv) {
   }
   std::fprintf(out,
                "{\n  \"bench\": \"micro_obs_overhead\",\n"
-               "  \"get_plan\": {\"disabled_ns\": %.2f, \"mutex_ns\": %.2f, "
-               "\"spsc_ns\": %.2f, \"mutex_overhead_ns\": %.2f, "
-               "\"spsc_overhead_ns\": %.2f},\n"
-               "  \"record_1thread\": {\"mutex_ns\": %.2f, \"spsc_ns\": "
-               "%.2f},\n"
-               "  \"record_4threads\": {\"mutex_ns\": %.2f, \"spsc_ns\": "
-               "%.2f}\n}\n",
-               disabled_ns, mutex_ns, spsc_ns, mutex_overhead,
-               spsc_overhead, record_mutex_1t, record_spsc_1t,
-               record_mutex_4t, record_spsc_4t);
+               "  \"get_plan\": {\"disabled_ns\": %.2f, \"traced_ns\": %.2f, "
+               "\"traced_overhead_ns\": %.2f, \"traced_ratio\": %.3f},\n"
+               "  \"record_1thread\": {\"spsc_ns\": %.2f},\n"
+               "  \"record_4threads\": {\"spsc_ns\": %.2f}\n}\n",
+               disabled_ns, traced_ns, traced_ns - disabled_ns, traced_ratio,
+               record_1t, record_4t);
   std::fclose(out);
   std::printf("wrote %s\n", out_path.c_str());
 
-  if (max_overhead_ratio > 0.0) {
-    // 50ns of absolute slack (~6% of the overheads being compared): the
-    // overheads are deltas of ~microsecond measurements on shared
-    // runners; without a floor, two noise samples could fail a
-    // technically-true gate.
-    const double budget = max_overhead_ratio * std::max(mutex_overhead, 0.0) +
-                          50.0;
-    if (spsc_overhead > budget) {
+  if (max_traced_ratio > 0.0) {
+    if (traced_ratio > max_traced_ratio) {
       std::fprintf(stderr,
-                   "FAIL: SPSC enabled-path overhead %.1fns exceeds "
-                   "budget %.1fns (%.2fx mutexed overhead %.1fns + 50ns)\n",
-                   spsc_overhead, budget, max_overhead_ratio,
-                   mutex_overhead);
+                   "FAIL: traced getPlan %.1fns is %.2fx untraced %.1fns "
+                   "(gate %.2fx)\n",
+                   traced_ns, traced_ratio, disabled_ns, max_traced_ratio);
       return 1;
     }
-    std::printf("gate OK: spsc overhead %.1fns <= budget %.1fns\n",
-                spsc_overhead, budget);
+    std::printf("gate OK: traced/untraced %.2fx <= %.2fx\n", traced_ratio,
+                max_traced_ratio);
   }
   return 0;
 }

@@ -18,7 +18,7 @@
 //
 // This lives in src/common and therefore cannot depend on src/obs; the
 // "trace every fired fault" requirement is met by an on-fire callback that
-// the embedding layer (scrpqo_cli, tests) wires to its Tracer/metrics.
+// the embedding layer (scrpqo_cli, tests) wires to its tracer/metrics.
 #pragma once
 
 #include <atomic>

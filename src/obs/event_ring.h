@@ -40,19 +40,19 @@ class SpscEventRing {
   size_t capacity() const { return slots_.size(); }
 
   /// Producer side. Returns false (and counts a drop) when full.
-  /// Wait-free: two atomic loads, one slot move, one release store —
-  /// proved alloc-free and non-blocking by the effect analyzer; noexcept
-  /// because DecisionEvent's members are all nothrow-movable.
+  /// Wait-free: two atomic loads, one 128-byte slot copy, one release
+  /// store — proved alloc-free and non-blocking by the effect analyzer;
+  /// noexcept because DecisionEvent is trivially copyable.
   SCRPQO_HOT SCRPQO_NOALLOC SCRPQO_NONBLOCKING SCRPQO_NOTHROW
   SCRPQO_LOCK_BOUNDED()
-  bool TryPush(DecisionEvent event) noexcept {
+  bool TryPush(const DecisionEvent& event) noexcept {
     const uint64_t tail = tail_.load(std::memory_order_relaxed);
     const uint64_t head = head_.load(std::memory_order_acquire);
     if (tail - head > mask_) {
       dropped_.fetch_add(1, std::memory_order_relaxed);
       return false;
     }
-    slots_[tail & mask_] = std::move(event);
+    slots_[tail & mask_] = event;
     tail_.store(tail + 1, std::memory_order_release);
     return true;
   }
@@ -64,7 +64,7 @@ class SpscEventRing {
     uint64_t head = head_.load(std::memory_order_relaxed);
     const size_t n = static_cast<size_t>(tail - head);
     for (; head != tail; ++head) {
-      out->push_back(std::move(slots_[head & mask_]));
+      out->push_back(slots_[head & mask_]);
     }
     head_.store(head, std::memory_order_release);
     return n;

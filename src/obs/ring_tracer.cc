@@ -3,6 +3,8 @@
 #include <chrono>
 #include <utility>
 
+#include "common/effects.h"
+
 namespace scrpqo {
 
 namespace {
@@ -25,17 +27,26 @@ struct RingHandle {
 
 thread_local std::vector<RingHandle> t_ring_handles;
 
+RingTracer::Options LosslessOptions(size_t capacity) {
+  RingTracer::Options options;
+  options.ring_capacity = capacity;
+  options.window_capacity = capacity;
+  return options;
+}
+
 }  // namespace
 
 RingTracer::RingTracer() : RingTracer(Options()) {}
 
+RingTracer::RingTracer(size_t capacity)
+    : RingTracer(LosslessOptions(capacity)) {}
+
 RingTracer::RingTracer(Options options)
-    : Tracer(options.window_capacity),
-      options_(options),
+    : options_(options),
       tracer_id_(g_next_tracer_id.fetch_add(1, std::memory_order_relaxed)),
+      loss_name_(NameId::Intern("ring-tracer")),
       retired_(std::make_shared<std::atomic<bool>>(false)),
-      window_(std::make_shared<InMemorySink>(
-          options.window_capacity == 0 ? 1 : options.window_capacity)) {
+      window_(std::make_shared<InMemorySink>(options.window_capacity)) {
   {
     // Not yet shared, but locking keeps the guarded sinks_ write provable
     // without an analysis escape.
@@ -59,13 +70,20 @@ RingTracer::~RingTracer() {
     DrainLocked();
   }
   retired_->store(true, std::memory_order_release);
+  for (RingNode* n = rings_.load(std::memory_order_acquire); n != nullptr;) {
+    RingNode* next = n->next;
+    delete n;
+    n = next;
+  }
 }
 
-std::shared_ptr<RingTracer::ThreadRing> RingTracer::RegisterThisThread() {
+SpscEventRing* RingTracer::RegisterThisThread()
+    SCRPQO_EFFECT_ALLOW(alloc, "once per thread per tracer: the first Record on a thread allocates its ring and TLS handle; every later Record is a TLS scan plus a wait-free push") {
   auto ring = std::make_shared<ThreadRing>(options_.ring_capacity);
-  {
-    MutexLock lock(rings_mu_);
-    rings_.push_back(ring);
+  auto* node = new RingNode{ring, rings_.load(std::memory_order_relaxed)};
+  while (!rings_.compare_exchange_weak(node->next, node,
+                                       std::memory_order_release,
+                                       std::memory_order_relaxed)) {
   }
   // Prune handles of retired tracers while we're here so long-lived
   // worker threads don't accumulate dead entries.
@@ -79,44 +97,43 @@ std::shared_ptr<RingTracer::ThreadRing> RingTracer::RegisterThisThread() {
   }
   t_ring_handles.push_back(
       RingHandle{tracer_id_, ring, &ring->ring, retired_});
-  return ring;
+  return &ring->ring;
 }
 
-void RingTracer::Record(DecisionEvent event) {
+SCRPQO_HOT SCRPQO_NOALLOC SCRPQO_NONBLOCKING SCRPQO_LOCK_BOUNDED()
+void RingTracer::Record(const DecisionEvent& event) {
   for (const RingHandle& h : t_ring_handles) {
     if (h.tracer_id == tracer_id_) {
-      h.ring->TryPush(std::move(event));
+      h.ring->TryPush(event);
       return;
     }
   }
-  RegisterThisThread()->ring.TryPush(std::move(event));
+  RegisterThisThread()->TryPush(event);
 }
 
 void RingTracer::DrainLocked() {
-  {
-    MutexLock lock(rings_mu_);
-    rings_scratch_ = rings_;
-  }
   std::vector<DecisionEvent>& batch = batch_scratch_;
   batch.clear();
   int64_t new_drops = 0;
-  for (const std::shared_ptr<ThreadRing>& tr : rings_scratch_) {
-    tr->ring.DrainInto(&batch);
+  for (RingNode* n = rings_.load(std::memory_order_acquire); n != nullptr;
+       n = n->next) {
+    ThreadRing& tr = *n->ring;
+    tr.ring.DrainInto(&batch);
     // Read drops only after the drain: a drop observed here happened
     // before events we just pulled at the latest, so the synthesized
     // loss event never claims events that are still buffered.
-    int64_t drops = tr->ring.dropped();
-    if (drops > tr->drops_seen) {
-      new_drops += drops - tr->drops_seen;
-      tr->drops_seen = drops;
+    int64_t drops = tr.ring.dropped();
+    if (drops > tr.drops_seen) {
+      new_drops += drops - tr.drops_seen;
+      tr.drops_seen = drops;
     }
   }
   if (new_drops > 0) {
     DecisionEvent loss;
     loss.outcome = DecisionOutcome::kRingDropped;
-    loss.technique = "ring-tracer";
+    loss.technique = loss_name_;
     loss.dropped = new_drops;
-    batch.push_back(std::move(loss));
+    batch.push_back(loss);
     dropped_total_.fetch_add(new_drops, std::memory_order_relaxed);
   }
   if (batch.empty()) return;
@@ -126,15 +143,9 @@ void RingTracer::DrainLocked() {
   exported_total_.fetch_add(static_cast<int64_t>(batch.size()),
                             std::memory_order_relaxed);
   for (const std::shared_ptr<TraceSink>& sink : sinks_) {
-    // The retained window is always last in the fan-out and takes the
-    // batch by move — the exporter's dominant per-event cost is otherwise
-    // copying two strings per event into the window.
-    if (sink == window_) continue;
     sink->Consume(batch);
     if (new_drops > 0) sink->ObserveDrop(new_drops);
   }
-  if (new_drops > 0) window_->ObserveDrop(new_drops);
-  window_->ConsumeOwned(std::move(batch));
 }
 
 void RingTracer::ExporterLoop() {
@@ -163,7 +174,11 @@ int64_t RingTracer::dropped() const {
   return dropped_total_.load(std::memory_order_relaxed);
 }
 
-std::vector<DecisionEvent> RingTracer::Snapshot() const {
+std::vector<DecisionEvent> RingTracer::Snapshot() {
+  {
+    MutexLock lock(export_mu_);
+    DrainLocked();
+  }
   return window_->Snapshot();
 }
 

@@ -3,19 +3,17 @@
 // hot paths pay a branch, not a clock read, when metrics are disabled.
 #pragma once
 
-#include <chrono>
 #include <cstdint>
 
 #include "obs/metrics_registry.h"
+#include "obs/span.h"
 
 namespace scrpqo {
 
 class ScopedTimer {
  public:
   explicit ScopedTimer(LogHistogram* histogram) : histogram_(histogram) {
-    if (histogram_ != nullptr) {
-      start_ = std::chrono::steady_clock::now();
-    }
+    if (histogram_ != nullptr) start_ns_ = ObsClock::NowNs();
   }
 
   ScopedTimer(const ScopedTimer&) = delete;
@@ -26,21 +24,14 @@ class ScopedTimer {
   /// Records now instead of at scope exit; idempotent.
   void Stop() {
     if (histogram_ == nullptr) return;
-    histogram_->Record(static_cast<double>(ElapsedMicros(start_)));
+    histogram_->Record(
+        static_cast<double>((ObsClock::NowNs() - start_ns_) / 1000));
     histogram_ = nullptr;
-  }
-
-  /// Microseconds elapsed since `start` (shared helper for call sites that
-  /// time sections by hand, e.g. to stamp DecisionEvents).
-  static int64_t ElapsedMicros(std::chrono::steady_clock::time_point start) {
-    return std::chrono::duration_cast<std::chrono::microseconds>(
-               std::chrono::steady_clock::now() - start)
-        .count();
   }
 
  private:
   LogHistogram* histogram_;
-  std::chrono::steady_clock::time_point start_;
+  int64_t start_ns_ = 0;
 };
 
 }  // namespace scrpqo

@@ -36,27 +36,27 @@ class TraceSink {
   virtual Status Flush() { return Status::OK(); }
 };
 
-/// Keeps the most recent `capacity` events in memory; the RingTracer's
-/// default sink, backing Snapshot() with the same oldest-first window
-/// semantics as the mutexed Tracer.
+/// Keeps the most recent `capacity` events in memory (oldest overwritten
+/// first); the RingTracer's default sink, backing Snapshot().
 class InMemorySink : public TraceSink {
  public:
+  /// A zero capacity is clamped to one.
   explicit InMemorySink(size_t capacity)
       : capacity_(capacity == 0 ? 1 : capacity) {}
+
+  size_t capacity() const { return capacity_; }
 
   void Consume(const std::vector<DecisionEvent>& batch) override
       EXCLUDES(mu_) {
     MutexLock lock(mu_);
-    for (const DecisionEvent& e : batch) StoreLocked(e);
-  }
-
-  /// Ownership-taking variant for the exporter's terminal sink: the batch
-  /// is dead after the fan-out, so moving events into the window saves a
-  /// per-event copy (two strings) on the exporter thread — which on a
-  /// small machine time-slices against the serving threads.
-  void ConsumeOwned(std::vector<DecisionEvent>&& batch) EXCLUDES(mu_) {
-    MutexLock lock(mu_);
-    for (DecisionEvent& e : batch) StoreLocked(std::move(e));
+    for (const DecisionEvent& e : batch) {
+      if (window_.size() < capacity_) {
+        window_.push_back(e);
+      } else {
+        window_[next_slot_] = e;
+      }
+      next_slot_ = (next_slot_ + 1) % capacity_;
+    }
   }
 
   /// Retained window, oldest first. Any thread.
@@ -75,25 +75,15 @@ class InMemorySink : public TraceSink {
   }
 
  private:
-  template <typename Event>
-  void StoreLocked(Event&& e) REQUIRES(mu_) {
-    if (window_.size() < capacity_) {
-      window_.push_back(std::forward<Event>(e));
-    } else {
-      window_[next_slot_] = std::forward<Event>(e);
-    }
-    next_slot_ = (next_slot_ + 1) % capacity_;
-  }
-
   const size_t capacity_;
   mutable Mutex mu_;
   std::vector<DecisionEvent> window_ GUARDED_BY(mu_);
   size_t next_slot_ GUARDED_BY(mu_) = 0;
 };
 
-/// Streams every exported event to a JSONL file as it arrives — same wire
-/// format as Tracer::WriteJsonlFile, but without needing the whole trace
-/// to fit in the retained window.
+/// Streams every exported event to a JSONL file as it arrives (the
+/// DecisionEventToJsonl wire format), so the whole trace is written
+/// without needing to fit in the retained window.
 class JsonlFileSink : public TraceSink {
  public:
   /// Check ok() before attaching; a sink that failed to open consumes

@@ -4,8 +4,6 @@
 
 namespace scrpqo {
 
-thread_local StageBreakdown* SpanContext::current_ = nullptr;
-
 namespace {
 constexpr const char* kStageNames[kNumStages] = {
     "shard_wait", "svector",  "index_probe",  "sel_check",

@@ -1,10 +1,15 @@
 // Stage-span attribution for getPlan: a GetPlanSpan opens an ambient
 // per-thread StageBreakdown for the in-flight decision, StageTimers add
-// elapsed microseconds to one stage slot (and, when given one, to a
-// per-stage LogHistogram), and the technique's EmitEvent copies the
+// elapsed nanoseconds to one stage slot (and, when given one, microseconds
+// to a per-stage LogHistogram), and the technique's EmitEvent copies the
 // ambient breakdown onto the DecisionEvent it records. The disabled path
 // (no span open, no histogram attached) costs one thread-local read and a
 // null check — no clock read.
+//
+// Every obs timer reads the clock through ObsClock, which remembers the
+// thread's latest stamp: a caller that needs "now" right after a timed
+// stage reuses the stage's stop stamp instead of reading the clock again
+// (Scr times a whole reuse attempt from its stage timers' stamps).
 //
 // Stage taxonomy (the phases a PqoManager-routed getPlan passes through):
 //   shard_wait    PqoManager shard-lock acquisition wait
@@ -20,10 +25,43 @@
 
 #include <chrono>
 #include <cstdint>
+#include <limits>
 
 #include "obs/metrics_registry.h"
 
 namespace scrpqo {
+
+/// The steady clock behind every obs timer, in nanoseconds. Each read is
+/// remembered (LastNs) and counted (Reads) per thread; the count lets
+/// tests pin how many clock reads one traced decision costs.
+class ObsClock {
+ public:
+  static int64_t NowNs() {
+    const int64_t ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
+                           std::chrono::steady_clock::now().time_since_epoch())
+                           .count();
+    last_ns_ = ns;
+    ++reads_;
+    return ns;
+  }
+
+  /// This thread's most recent NowNs() value (0 before the first).
+  static int64_t LastNs() { return last_ns_; }
+
+  /// "Now" at the end of a stretch of code that may have closed with an
+  /// armed timer's stop: `mark` is LastNs() from before the stretch. A
+  /// stamp taken since is reused; otherwise the clock is read.
+  static int64_t NowAfter(int64_t mark) {
+    return last_ns_ != mark ? last_ns_ : NowNs();
+  }
+
+  /// Clock reads taken on this thread so far.
+  static uint64_t Reads() { return reads_; }
+
+ private:
+  static inline thread_local int64_t last_ns_ = 0;
+  static inline thread_local uint64_t reads_ = 0;
+};
 
 enum class Stage : int {
   kShardWait = 0,
@@ -42,12 +80,16 @@ inline constexpr int kNumStages = 8;
 /// of the per-stage histograms ("stage.<name>_micros").
 const char* StageName(Stage stage);
 
-/// Per-decision stage latency breakdown; -1 marks a stage that never ran.
+/// Per-decision stage latency breakdown in nanoseconds; -1 marks a stage
+/// that never ran. 32-bit slots keep DecisionEvent within 128 bytes; a
+/// stage saturates at kMaxNs (~2.1 s).
 struct StageBreakdown {
-  int64_t micros[kNumStages] = {-1, -1, -1, -1, -1, -1, -1, -1};
+  static constexpr int64_t kMaxNs = std::numeric_limits<int32_t>::max();
+
+  int32_t ns[kNumStages] = {-1, -1, -1, -1, -1, -1, -1, -1};
 
   bool any() const {
-    for (int64_t v : micros) {
+    for (int32_t v : ns) {
       if (v >= 0) return true;
     }
     return false;
@@ -55,14 +97,13 @@ struct StageBreakdown {
 
   /// Accumulates (a stage may run more than once per decision, e.g. the
   /// recost sweep of a failed reuse attempt plus the redundancy check).
-  void Add(Stage stage, int64_t us) {
-    int64_t& slot = micros[static_cast<int>(stage)];
-    slot = slot < 0 ? us : slot + us;
+  void Add(Stage stage, int64_t elapsed_ns) {
+    int32_t& slot = ns[static_cast<int>(stage)];
+    int64_t sum = (slot < 0 ? 0 : slot) + (elapsed_ns < 0 ? 0 : elapsed_ns);
+    slot = static_cast<int32_t>(sum < kMaxNs ? sum : kMaxNs);
   }
 
-  int64_t get(Stage stage) const {
-    return micros[static_cast<int>(stage)];
-  }
+  int64_t get(Stage stage) const { return ns[static_cast<int>(stage)]; }
 };
 
 /// Ambient per-thread breakdown of the in-flight getPlan. Deliberately a
@@ -74,7 +115,11 @@ class SpanContext {
 
  private:
   friend class GetPlanSpan;
-  static thread_local StageBreakdown* current_;
+  // Defined inline with a constant initializer so every TU reads it
+  // directly off the thread pointer (an out-of-line definition makes
+  // other TUs call a TLS wrapper, whose null check GCC's UBSan emits in a
+  // form the linker's TLS relaxation can break).
+  static inline thread_local StageBreakdown* current_ = nullptr;
 };
 
 /// Opens an ambient StageBreakdown for the current thread. Nested opens
@@ -106,9 +151,7 @@ class GetPlanSpan {
   void Seed(const StageBreakdown& from) {
     if (!active_) return;
     for (int i = 0; i < kNumStages; ++i) {
-      if (from.micros[i] >= 0) {
-        local_.Add(static_cast<Stage>(i), from.micros[i]);
-      }
+      if (from.ns[i] >= 0) local_.Add(static_cast<Stage>(i), from.ns[i]);
     }
   }
 
@@ -117,16 +160,16 @@ class GetPlanSpan {
   bool active_ = false;
 };
 
-/// RAII stage timer: on Stop (or destruction) adds the elapsed micros to
-/// the ambient breakdown slot and to `histogram` (either may be absent).
-/// With neither attached, no clock is read.
+/// RAII stage timer: on Stop (or destruction) adds the elapsed time to the
+/// ambient breakdown slot and to `histogram`, in microseconds (either may
+/// be absent). With neither attached, no clock is read.
 class StageTimer {
  public:
   StageTimer(Stage stage, LogHistogram* histogram)
       : stage_(stage),
         histogram_(histogram),
         breakdown_(SpanContext::Current()) {
-    if (armed()) start_ = std::chrono::steady_clock::now();
+    if (armed()) start_ns_ = ObsClock::NowNs();
   }
 
   StageTimer(const StageTimer&) = delete;
@@ -134,18 +177,22 @@ class StageTimer {
 
   ~StageTimer() { Stop(); }
 
-  /// Records now instead of at scope exit; idempotent.
-  void Stop() {
-    if (!armed()) return;
-    int64_t us = std::chrono::duration_cast<std::chrono::microseconds>(
-                     std::chrono::steady_clock::now() - start_)
-                     .count();
-    if (breakdown_ != nullptr) breakdown_->Add(stage_, us);
+  /// The clock stamp taken at construction; -1 when not armed.
+  int64_t start_ns() const { return start_ns_; }
+
+  /// Records now instead of at scope exit; idempotent. Returns the stop
+  /// stamp, or -1 when the timer was not armed (or already stopped).
+  int64_t Stop() {
+    if (!armed()) return -1;
+    const int64_t now = ObsClock::NowNs();
+    const int64_t elapsed = now - start_ns_;
+    if (breakdown_ != nullptr) breakdown_->Add(stage_, elapsed);
     if (histogram_ != nullptr) {
-      histogram_->Record(static_cast<double>(us));
+      histogram_->Record(static_cast<double>(elapsed / 1000));
     }
     breakdown_ = nullptr;
     histogram_ = nullptr;
+    return now;
   }
 
  private:
@@ -156,7 +203,7 @@ class StageTimer {
   Stage stage_;
   LogHistogram* histogram_;
   StageBreakdown* breakdown_;
-  std::chrono::steady_clock::time_point start_;
+  int64_t start_ns_ = -1;
 };
 
 /// Cached per-stage histogram pointers ("stage.<name>_micros"), resolved

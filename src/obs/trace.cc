@@ -6,8 +6,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
-#include <ostream>
-#include <sstream>
+#include <utility>
 
 namespace scrpqo {
 
@@ -54,8 +53,8 @@ void AppendDouble(double v, std::string* out) {
 }
 
 /// Locates `"key":` in `line` and returns the character offset just past
-/// the colon (skipping spaces), or npos. Keys we emit never appear inside
-/// string values other than `technique`, which is searched last.
+/// the colon (skipping spaces), or npos. Keys we emit never match inside
+/// a string value: the serializer escapes every quote in a name.
 size_t FindValue(const std::string& line, const char* key) {
   std::string needle = "\"";
   needle += key;
@@ -127,6 +126,32 @@ bool ParseString(const std::string& line, const char* key,
   return true;
 }
 
+/// Truncates the finite `v` to an integer and scales it by `scale`;
+/// false when the result does not fit in int64.
+bool ToInt64(double v, int64_t scale, int64_t* out) {
+  // 2^63 is exact as a double; the truncated value must lie strictly
+  // inside (-2^63 / scale, 2^63 / scale) for the scaled cast to be
+  // defined.
+  const double limit = 9223372036854775808.0 / static_cast<double>(scale);
+  const double whole = std::trunc(v);
+  if (!(whole > -limit && whole < limit)) return false;
+  *out = static_cast<int64_t>(whole) * scale;
+  return true;
+}
+
+/// Truncates the finite `v` to int32; false when it does not fit.
+bool ToInt32(double v, int32_t* out) {
+  const double whole = std::trunc(v);
+  if (!(whole >= -2147483648.0 && whole <= 2147483647.0)) return false;
+  *out = static_cast<int32_t>(whole);
+  return true;
+}
+
+Status OutOfRange(const char* key, const std::string& line) {
+  return Status::InvalidArgument(
+      std::string("trace line has out-of-range \"") + key + "\": " + line);
+}
+
 }  // namespace
 
 const char* DecisionOutcomeName(DecisionOutcome outcome) {
@@ -170,10 +195,10 @@ std::string DecisionEventToJsonl(const DecisionEvent& e) {
   out += ",\"instance\":";
   out += std::to_string(e.instance_id);
   out += ",\"technique\":\"";
-  AppendEscaped(e.technique, &out);
+  AppendEscaped(e.technique.str(), &out);
   if (!e.template_key.empty()) {
     out += "\",\"template\":\"";
-    AppendEscaped(e.template_key, &out);
+    AppendEscaped(e.template_key.str(), &out);
   }
   out += "\",\"outcome\":\"";
   out += DecisionOutcomeName(e.outcome);
@@ -194,7 +219,7 @@ std::string DecisionEventToJsonl(const DecisionEvent& e) {
   out += ",\"recosts\":";
   out += std::to_string(e.recost_calls);
   out += ",\"wall_us\":";
-  out += std::to_string(e.wall_micros);
+  out += std::to_string(e.wall_ns / 1000);
   // Optional trailing fields, emitted only when set so that events from
   // span-free emitters serialize byte-identically to the legacy format
   // (same contract as the optional "template" field above).
@@ -206,13 +231,13 @@ std::string DecisionEventToJsonl(const DecisionEvent& e) {
     out += ",\"stages\":{";
     bool first = true;
     for (int i = 0; i < kNumStages; ++i) {
-      if (e.stages.micros[i] < 0) continue;
+      if (e.stages.ns[i] < 0) continue;
       if (!first) out += ",";
       first = false;
       out += "\"";
       out += StageName(static_cast<Stage>(i));
       out += "\":";
-      out += std::to_string(e.stages.micros[i]);
+      out += std::to_string(e.stages.ns[i] / 1000);
     }
     out += "}";
   }
@@ -226,120 +251,71 @@ Result<DecisionEvent> DecisionEventFromJsonl(const std::string& line) {
   if (!ParseNumber(line, "seq", &v) || !std::isfinite(v)) {
     return Status::InvalidArgument("trace line missing \"seq\": " + line);
   }
-  e.seq = static_cast<int64_t>(v);
+  if (!ToInt64(v, 1, &e.seq)) return OutOfRange("seq", line);
   if (!ParseNumber(line, "instance", &v) || !std::isfinite(v)) {
     return Status::InvalidArgument("trace line missing \"instance\"");
   }
-  e.instance_id = static_cast<int32_t>(v);
+  if (!ToInt32(v, &e.instance_id)) return OutOfRange("instance", line);
   std::string outcome;
   if (!ParseString(line, "outcome", &outcome) ||
       !ParseDecisionOutcome(outcome, &e.outcome)) {
     return Status::InvalidArgument("trace line has bad \"outcome\": " + line);
   }
   // Optional fields keep their defaults when absent.
-  ParseString(line, "technique", &e.technique);
-  ParseString(line, "template", &e.template_key);
-  if (ParseNumber(line, "matched", &v)) {
-    e.matched_entry = static_cast<int32_t>(v);
+  for (auto [key, slot] : {std::pair{"technique", &e.technique},
+                           std::pair{"template", &e.template_key}}) {
+    std::string name;
+    if (ParseString(line, key, &name) && !NameId::TryIntern(name, slot)) {
+      return Status::OutOfRange("name table full");
+    }
   }
   struct OptField {
     const char* key;
     double* slot;
   };
-  double candidates = 0.0, recosts = 0.0, wall = 0.0, dropped = 0.0;
+  double matched = -1.0, candidates = 0.0, recosts = 0.0, wall = 0.0,
+         dropped = 0.0;
   for (const OptField& f :
-       {OptField{"g", &e.g}, OptField{"l", &e.l}, OptField{"r", &e.r},
-        OptField{"s", &e.subopt}, OptField{"lambda", &e.lambda},
-        OptField{"candidates", &candidates}, OptField{"recosts", &recosts},
-        OptField{"wall_us", &wall}, OptField{"dropped", &dropped}}) {
-    if (ParseNumberField(line, f.key, f.slot) == NumField::kBad) {
+       {OptField{"matched", &matched}, OptField{"g", &e.g},
+        OptField{"l", &e.l}, OptField{"r", &e.r}, OptField{"s", &e.subopt},
+        OptField{"lambda", &e.lambda}, OptField{"candidates", &candidates},
+        OptField{"recosts", &recosts}, OptField{"wall_us", &wall},
+        OptField{"dropped", &dropped}}) {
+    if (ParseNumberField(line, f.key, f.slot) == NumField::kBad ||
+        !std::isfinite(*f.slot)) {
+      // Finite-values policy (matches EnvDouble): a NaN/inf cost factor
+      // means the trace is corrupt, and must not be silently carried into
+      // audits.
       return Status::InvalidArgument(std::string("trace line has bad \"") +
                                      f.key + "\": " + line);
     }
   }
+  if (!ToInt32(matched, &e.matched_entry)) return OutOfRange("matched", line);
+  if (!ToInt32(candidates, &e.candidates_scanned)) {
+    return OutOfRange("candidates", line);
+  }
+  if (!ToInt32(recosts, &e.recost_calls)) return OutOfRange("recosts", line);
+  if (!ToInt64(wall, 1000, &e.wall_ns)) return OutOfRange("wall_us", line);
+  if (!ToInt64(dropped, 1, &e.dropped)) return OutOfRange("dropped", line);
   // Stage sub-keys are globally unique in the line (no event key shares a
   // stage name), so the flat key scan handles the nested object too.
   if (FindValue(line, "stages") != std::string::npos) {
     for (int i = 0; i < kNumStages; ++i) {
+      const char* name = StageName(static_cast<Stage>(i));
       double us = 0.0;
-      NumField got = ParseNumberField(line, StageName(static_cast<Stage>(i)),
-                                      &us);
-      if (got == NumField::kBad || (got == NumField::kOk && !std::isfinite(us))) {
+      NumField got = ParseNumberField(line, name, &us);
+      if (got == NumField::kAbsent) continue;
+      int64_t ns = 0;
+      if (got == NumField::kBad || !std::isfinite(us) ||
+          !ToInt64(us, 1000, &ns) || ns < 0 || ns > StageBreakdown::kMaxNs) {
         return Status::InvalidArgument(
-            std::string("trace line has bad stage \"") +
-            StageName(static_cast<Stage>(i)) + "\": " + line);
+            std::string("trace line has bad stage \"") + name + "\": " +
+            line);
       }
-      if (got == NumField::kOk) {
-        e.stages.micros[i] = static_cast<int64_t>(us);
-      }
+      e.stages.ns[i] = static_cast<int32_t>(ns);
     }
   }
-  // Finite-values policy (matches EnvDouble): a NaN/inf cost factor means
-  // the trace is corrupt, and must not be silently carried into audits.
-  // Checked before the integer casts below, which would be UB on inf.
-  for (double field : {e.g, e.l, e.r, e.subopt, e.lambda, candidates,
-                       recosts, wall, dropped}) {
-    if (!std::isfinite(field)) {
-      return Status::InvalidArgument(
-          "trace line has non-finite numeric field: " + line);
-    }
-  }
-  e.candidates_scanned = static_cast<int32_t>(candidates);
-  e.recost_calls = static_cast<int32_t>(recosts);
-  e.wall_micros = static_cast<int64_t>(wall);
-  e.dropped = static_cast<int64_t>(dropped);
   return e;
-}
-
-Tracer::Tracer(size_t capacity) : capacity_(capacity == 0 ? 1 : capacity) {}
-
-void Tracer::Record(DecisionEvent event) {
-  MutexLock lock(mu_);
-  event.seq = next_seq_++;
-  if (ring_.size() < capacity_) {
-    ring_.push_back(std::move(event));
-  } else {
-    ring_[static_cast<size_t>(event.seq) % capacity_] = std::move(event);
-  }
-}
-
-int64_t Tracer::total_recorded() const {
-  MutexLock lock(mu_);
-  return next_seq_;
-}
-
-std::vector<DecisionEvent> Tracer::Snapshot() const {
-  MutexLock lock(mu_);
-  std::vector<DecisionEvent> out;
-  out.reserve(ring_.size());
-  if (ring_.size() < capacity_) {
-    out = ring_;
-  } else {
-    size_t head = static_cast<size_t>(next_seq_) % capacity_;
-    for (size_t i = 0; i < capacity_; ++i) {
-      out.push_back(ring_[(head + i) % capacity_]);
-    }
-  }
-  return out;
-}
-
-void Tracer::WriteJsonl(std::ostream& os) const {
-  for (const DecisionEvent& e : Snapshot()) {
-    os << DecisionEventToJsonl(e) << '\n';
-  }
-}
-
-Status Tracer::WriteJsonlFile(const std::string& path) const {
-  std::ofstream out(path, std::ios::trunc);
-  if (!out.is_open()) {
-    return Status::InvalidArgument("cannot open trace file: " + path);
-  }
-  WriteJsonl(out);
-  out.flush();
-  if (!out.good()) {
-    return Status::Internal("short write to trace file: " + path);
-  }
-  return Status::OK();
 }
 
 Result<std::vector<DecisionEvent>> ReadJsonlTraceFile(

@@ -1,24 +1,23 @@
 // Decision-event tracing for the PQO engine: every getPlan/manageCache
 // decision is recorded as a DecisionEvent and can be exported as JSONL
-// (one event per line). Techniques emit events only when a Tracer is
-// attached, so the disabled-path cost is a null pointer check.
+// (one event per line). Techniques emit events only when a RingTracer
+// (obs/ring_tracer.h) is attached, so the disabled-path cost is a null
+// pointer check.
 //
-// Two capture implementations share the Tracer interface:
-//  - Tracer (this file): a single fixed-capacity ring guarded by a mutex.
-//    Simple, exact, and the wire-format reference; emitters serialize on
-//    the lock, so it is the fallback, not the serving default.
-//  - RingTracer (obs/ring_tracer.h): per-thread lock-free SPSC rings
-//    drained by a background exporter that merges, stamps sequence
-//    numbers, and fans out to pluggable sinks. The serving default.
+// A DecisionEvent is a fixed-size, trivially-copyable record: names are
+// NameIds into the process-wide name table (obs/name_table.h) and times
+// are nanoseconds. The serving thread fills one in place and the tracer
+// copies it once into a ring slot; only exporters and sinks resolve names
+// and format JSON.
 #pragma once
 
 #include <cstdint>
-#include <iosfwd>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "common/status.h"
-#include "common/thread_annotations.h"
+#include "obs/name_table.h"
 #include "obs/span.h"
 
 namespace scrpqo {
@@ -67,17 +66,17 @@ bool IsDecisionOutcome(DecisionOutcome outcome);
 /// One traced decision. Fields that do not apply to an outcome stay at
 /// their defaults (-1 for ids and G/L/R, 0 for counts).
 struct DecisionEvent {
-  /// Monotonic event number, assigned by the Tracer on Record (RingTracer
-  /// assigns it at export time, preserving per-thread emission order).
+  /// Monotonic event number, assigned by the RingTracer exporter at drain
+  /// time (preserving per-thread emission order).
   int64_t seq = -1;
   /// Workload-instance id the event belongs to.
   int32_t instance_id = -1;
   /// Technique name (Scr::name() style).
-  std::string technique;
+  NameId technique;
   /// Template the deciding cache serves (PqoManager's template_key; empty
   /// for single-template runs). Lets one merged trace from a multi-template
   /// manager be audited per template (guarantee_audit --per-template).
-  std::string template_key;
+  NameId template_key;
   DecisionOutcome outcome = DecisionOutcome::kOptimized;
   /// Cache-entry id that matched (instance-list index for SCR check hits,
   /// plan id for optimized/discard/evict events); -1 when n/a.
@@ -100,8 +99,9 @@ struct DecisionEvent {
   int32_t candidates_scanned = 0;
   /// Recost calls issued by this getPlan.
   int32_t recost_calls = 0;
-  /// Wall-clock of the traced section, microseconds.
-  int64_t wall_micros = 0;
+  /// Wall-clock of the traced section, nanoseconds (whole microseconds on
+  /// the wire).
+  int64_t wall_ns = 0;
   /// Events lost to a full SPSC ring since the previous kRingDropped
   /// event; 0 (and absent on the wire) for every other outcome.
   int64_t dropped = 0;
@@ -112,55 +112,20 @@ struct DecisionEvent {
   StageBreakdown stages;
 };
 
+// The serving thread's share of tracing is one copy of this record into a
+// ring slot: no destructor to run, no allocation, two cache lines.
+static_assert(std::is_trivially_copyable_v<DecisionEvent>);
+static_assert(sizeof(DecisionEvent) <= 128);
+
 /// Serializes one event as a single JSON line (no trailing newline).
 std::string DecisionEventToJsonl(const DecisionEvent& event);
 
-/// Parses a line produced by DecisionEventToJsonl. Numeric fields must be
-/// finite: NaN/inf cost factors are rejected (same policy as EnvDouble),
-/// so a corrupted trace cannot silently pass a guarantee audit.
+/// Parses a line produced by DecisionEventToJsonl (interning its names).
+/// Numeric fields must be finite: NaN/inf cost factors are rejected (same
+/// policy as EnvDouble), so a corrupted trace cannot silently pass a
+/// guarantee audit; integer fields must fit their storage (fractions
+/// truncate), so no cast is ever out of range.
 Result<DecisionEvent> DecisionEventFromJsonl(const std::string& line);
-
-/// Fixed-capacity ring buffer of DecisionEvents guarded by one mutex.
-/// Oldest events are overwritten once `capacity` is exceeded;
-/// `total_recorded()` keeps the all-time count so overflow is detectable.
-/// Also the polymorphic base of RingTracer: ObsHooks carries a Tracer*,
-/// and every emitter works against this interface.
-class Tracer {
- public:
-  explicit Tracer(size_t capacity = 1 << 16);
-  virtual ~Tracer() = default;
-
-  Tracer(const Tracer&) = delete;
-  Tracer& operator=(const Tracer&) = delete;
-
-  /// Records an event (assigns `seq`). Thread-safe.
-  virtual void Record(DecisionEvent event) EXCLUDES(mu_);
-
-  size_t capacity() const { return capacity_; }
-
-  /// All-time number of events captured (>= Snapshot().size()). For the
-  /// RingTracer this counts exported events; add dropped() for attempts.
-  virtual int64_t total_recorded() const EXCLUDES(mu_);
-
-  /// Events lost to backpressure; always 0 for the mutexed ring (it
-  /// overwrites instead of dropping).
-  virtual int64_t dropped() const { return 0; }
-
-  /// Live window, oldest first.
-  virtual std::vector<DecisionEvent> Snapshot() const EXCLUDES(mu_);
-
-  /// Writes the live window as JSONL, oldest first.
-  void WriteJsonl(std::ostream& os) const;
-
-  /// Writes the live window to `path` (overwrite).
-  Status WriteJsonlFile(const std::string& path) const;
-
- private:
-  const size_t capacity_;
-  mutable Mutex mu_;
-  std::vector<DecisionEvent> ring_ GUARDED_BY(mu_);
-  int64_t next_seq_ GUARDED_BY(mu_) = 0;
-};
 
 /// Reads a JSONL trace file; fails on the first malformed line.
 Result<std::vector<DecisionEvent>> ReadJsonlTraceFile(

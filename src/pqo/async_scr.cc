@@ -1,7 +1,5 @@
 #include "pqo/async_scr.h"
 
-#include <chrono>
-
 #include "common/fault_injection.h"
 
 namespace scrpqo {
@@ -94,12 +92,13 @@ void AsyncScr::SetObs(const ObsHooks& hooks) {
 
 SCRPQO_HOT SCRPQO_NOALLOC SCRPQO_NONBLOCKING SCRPQO_LOCK_BOUNDED(cache_mu_)
 bool AsyncScr::TryReuseFast(const WorkloadInstance& wi,
-                            EngineContext* engine, PlanChoice* probe) {
+                            EngineContext* engine, PlanChoice* probe,
+                            int64_t* start_ns) {
   // Shared side: reuse attempts from any number of request threads
   // proceed in parallel; they only wait when the worker is mid-update.
   ReaderMutexLock cache_lock(cache_mu_);
   if (lock_shared_ != nullptr) lock_shared_->Increment();
-  return inner_.TryReuse(wi, engine, probe);
+  return inner_.TryReuse(wi, engine, probe, start_ns);
 }
 
 PlanChoice AsyncScr::OnInstance(const WorkloadInstance& wi,
@@ -109,7 +108,8 @@ PlanChoice AsyncScr::OnInstance(const WorkloadInstance& wi,
   GetPlanSpan span(span_enabled_.load(std::memory_order_relaxed));
   engine_.store(engine, std::memory_order_relaxed);
   PlanChoice probe;
-  if (TryReuseFast(wi, engine, &probe)) return probe;
+  int64_t start_ns = -1;
+  if (TryReuseFast(wi, engine, &probe, &start_ns)) return probe;
 
   // Cache miss: optimize on the critical path (the query must run), hand
   // the bookkeeping to the worker, and return the fresh optimal plan. The
@@ -125,8 +125,7 @@ PlanChoice AsyncScr::OnInstance(const WorkloadInstance& wi,
         probe.cost_check_candidates_in_get_plan;
     WriterMutexLock cache_lock(cache_mu_);
     if (lock_exclusive_ != nullptr) lock_exclusive_->Increment();
-    inner_.ServeDegraded(wi, engine, &degraded,
-                         std::chrono::steady_clock::now());
+    inner_.ServeDegraded(wi, engine, &degraded, start_ns);
     return degraded;
   }
   PlanChoice choice;
@@ -199,9 +198,9 @@ int64_t AsyncScr::EstimatedMemoryBytes() const {
   return inner_.EstimatedMemoryBytes();
 }
 
-void AsyncScr::SetScopeLabel(std::string label) {
+void AsyncScr::SetScopeLabel(const std::string& label) {
   WriterMutexLock cache_lock(cache_mu_);
-  inner_.SetScopeLabel(std::move(label));
+  inner_.SetScopeLabel(label);
 }
 
 }  // namespace scrpqo

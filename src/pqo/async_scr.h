@@ -51,7 +51,7 @@ class AsyncScr : public PqoTechnique {
   /// Forwards the sinks to the wrapped Scr. Decision events for misses are
   /// emitted by the worker thread when the deferred manageCache runs, and
   /// sel/cost-check hits may be emitted from concurrent request threads, so
-  /// the sinks must be thread-safe (Tracer and MetricsRegistry are).
+  /// the sinks must be thread-safe (RingTracer and MetricsRegistry are).
   void SetObs(const ObsHooks& hooks) override EXCLUDES(cache_mu_);
 
   PlanChoice OnInstance(const WorkloadInstance& wi, EngineContext* engine)
@@ -86,7 +86,7 @@ class AsyncScr : public PqoTechnique {
   int64_t EstimatedMemoryBytes() const EXCLUDES(cache_mu_);
 
   /// Forwards the per-template scope label; call before serving traffic.
-  void SetScopeLabel(std::string label) EXCLUDES(cache_mu_);
+  void SetScopeLabel(const std::string& label) EXCLUDES(cache_mu_);
 
  private:
   struct Task {
@@ -108,9 +108,10 @@ class AsyncScr : public PqoTechnique {
   /// around the inner SCR's reuse attempt. Split out of OnInstance so the
   /// effect analyzer (tools/analyze) can root its SCRPQO_HOT /
   /// SCRPQO_NOALLOC / SCRPQO_NONBLOCKING / SCRPQO_LOCK_BOUNDED(cache_mu_)
-  /// contracts at exactly the code a cache hit executes.
+  /// contracts at exactly the code a cache hit executes. `start_ns`
+  /// receives the attempt's first clock stamp (see Scr::TryReuse).
   bool TryReuseFast(const WorkloadInstance& wi, EngineContext* engine,
-                    PlanChoice* probe) EXCLUDES(cache_mu_);
+                    PlanChoice* probe, int64_t* start_ns) EXCLUDES(cache_mu_);
 
   /// Reader/writer split over the cache: shared for TryReuse (and stat
   /// reads), exclusive for the worker's RegisterOptimization and SetObs.

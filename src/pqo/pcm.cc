@@ -20,14 +20,17 @@ bool Dominates(const SVector& a, const SVector& b) {
   return true;
 }
 
-}  // namespace
-
-std::string Pcm::name() const {
+std::string TechniqueName(const PcmOptions& options) {
   std::ostringstream os;
-  os << "PCM" << options_.lambda;
-  if (options_.recost_redundancy_lambda_r >= 1.0) os << "+R";
+  os << "PCM" << options.lambda;
+  if (options.recost_redundancy_lambda_r >= 1.0) os << "+R";
   return os.str();
 }
+
+}  // namespace
+
+Pcm::Pcm(PcmOptions options)
+    : options_(options), technique_(NameId::Intern(TechniqueName(options))) {}
 
 void Pcm::SetObs(const ObsHooks& hooks) {
   obs_ = hooks;
@@ -45,22 +48,20 @@ void Pcm::SetObs(const ObsHooks& hooks) {
   }
 }
 
-void Pcm::EmitEvent(DecisionEvent event, int instance_id,
-                    std::chrono::steady_clock::time_point start) {
+void Pcm::EmitEvent(DecisionEvent& event, int instance_id, int64_t start_ns,
+                    int64_t end_ns) {
   if (obs_.tracer == nullptr) return;
   event.instance_id = instance_id;
-  event.technique = name();
-  event.wall_micros = ScopedTimer::ElapsedMicros(start);
+  event.technique = technique_;
+  if (start_ns >= 0 && end_ns >= start_ns) event.wall_ns = end_ns - start_ns;
   if (const StageBreakdown* b = SpanContext::Current()) {
     event.stages = *b;
   }
-  EmitDecisionEvent(obs_.tracer, std::move(event));
+  EmitDecisionEvent(obs_.tracer, event);
 }
 
 PlanChoice Pcm::OnInstance(const WorkloadInstance& wi, EngineContext* engine) {
   GetPlanSpan span(obs_.tracer != nullptr);
-  std::chrono::steady_clock::time_point start{};
-  if (obs_.tracer != nullptr) start = std::chrono::steady_clock::now();
   ScopedTimer get_plan_timer(get_plan_micros_);
   PlanChoice choice;
   const SVector& sv = wi.svector;
@@ -71,6 +72,8 @@ PlanChoice Pcm::OnInstance(const WorkloadInstance& wi, EngineContext* engine) {
   // plan's sub-optimality is bounded by lambda. The dominance scan is
   // PCM's analogue of SCR's selectivity check, so it shares that stage.
   StageTimer sel_timer(Stage::kSelCheck, nullptr);
+  // Armed exactly when tracing: its stamps time the traced decision.
+  const int64_t start_ns = sel_timer.start_ns();
   double best_upper = std::numeric_limits<double>::infinity();
   int upper_plan = -1;
   double best_lower = 0.0;
@@ -89,7 +92,7 @@ PlanChoice Pcm::OnInstance(const WorkloadInstance& wi, EngineContext* engine) {
       }
     }
   }
-  sel_timer.Stop();
+  const int64_t sel_end_ns = sel_timer.Stop();
   // Non-finite guard on the cost ratio R = best_upper / best_lower: a NaN
   // compares false through the bound below (no unsound reuse), but the
   // explicit check keeps an inf/NaN from reaching the traced `r` and the
@@ -108,7 +111,7 @@ PlanChoice Pcm::OnInstance(const WorkloadInstance& wi, EngineContext* engine) {
       ev.r = best_upper / best_lower;
       ev.lambda = options_.lambda;
       ev.candidates_scanned = static_cast<int32_t>(points_.size());
-      EmitEvent(std::move(ev), wi.id, start);
+      EmitEvent(ev, wi.id, start_ns, sel_end_ns);
     }
     return choice;
   }
@@ -139,7 +142,7 @@ PlanChoice Pcm::OnInstance(const WorkloadInstance& wi, EngineContext* engine) {
       ev.outcome = DecisionOutcome::kDegraded;
       ev.matched_entry = best_id;
       ev.recost_calls = choice.recost_calls_in_get_plan;
-      EmitEvent(std::move(ev), wi.id, start);
+      EmitEvent(ev, wi.id, start_ns, ObsClock::NowNs());
     }
     return choice;
   }
@@ -151,7 +154,7 @@ PlanChoice Pcm::OnInstance(const WorkloadInstance& wi, EngineContext* engine) {
   StageTimer manage_timer(Stage::kManageCache, nullptr);
   PlanStore::StoreResult stored = store_.StoreOrReuse(
       cached, sv, result->cost, options_.recost_redundancy_lambda_r, engine);
-  manage_timer.Stop();
+  const int64_t end_ns = manage_timer.Stop();
   choice.recost_calls_in_get_plan =
       static_cast<int>(engine->num_recost_calls() - recosts_before);
   // A non-finite optimal cost must never seed an inference point: it
@@ -180,7 +183,7 @@ PlanChoice Pcm::OnInstance(const WorkloadInstance& wi, EngineContext* engine) {
     }
     ev.candidates_scanned = static_cast<int32_t>(points_.size()) - 1;
     ev.recost_calls = choice.recost_calls_in_get_plan;
-    EmitEvent(std::move(ev), wi.id, start);
+    EmitEvent(ev, wi.id, start_ns, end_ns);
   }
   return choice;
 }

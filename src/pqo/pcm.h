@@ -8,8 +8,8 @@
 // assumption.
 #pragma once
 
-#include <chrono>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "pqo/plan_store.h"
@@ -26,9 +26,10 @@ struct PcmOptions {
 
 class Pcm : public PqoTechnique {
  public:
-  explicit Pcm(PcmOptions options) : options_(options) {}
+  explicit Pcm(PcmOptions options);
 
-  std::string name() const override;
+  /// "PCM<lambda>[+R]", interned at construction.
+  std::string name() const override { return technique_.str(); }
 
   /// Attaches decision tracing / metrics. PCM's dominance inference is a
   /// pure cost-bound check, so reuse is traced as cost-check-hit with
@@ -42,8 +43,10 @@ class Pcm : public PqoTechnique {
   int64_t PeakPlansCached() const override { return store_.Peak(); }
 
  private:
-  void EmitEvent(DecisionEvent event, int instance_id,
-                 std::chrono::steady_clock::time_point start);
+  /// Stamps instance, technique and wall time (`end_ns - start_ns`, from
+  /// stage-timer stamps) into `event` and records it (tracer only).
+  void EmitEvent(DecisionEvent& event, int instance_id, int64_t start_ns,
+                 int64_t end_ns);
   struct Point {
     SVector sv;
     double opt_cost = 0.0;
@@ -51,6 +54,7 @@ class Pcm : public PqoTechnique {
   };
 
   PcmOptions options_;
+  NameId technique_;
   PlanStore store_;
   std::vector<Point> points_;
 

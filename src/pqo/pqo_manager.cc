@@ -13,7 +13,12 @@
 
 namespace scrpqo {
 
-PqoManager::PqoManager(PqoManagerOptions options) : options_(options) {
+PqoManager::PqoManager(PqoManagerOptions options)
+    : options_(options),
+      warmup_fallback_name_(
+          NameId::Intern("PqoManager(warmup-fallback:default_lambda)")),
+      warmup_failed_name_(
+          NameId::Intern("PqoManager(warmup-optimize-failed)")) {
   int n = options_.num_shards;
   if (n <= 0) {
     n = static_cast<int>(std::max(1u, std::thread::hardware_concurrency()));
@@ -131,16 +136,16 @@ void PqoManager::FinishWarmupLocked(TemplateState* st) {
               warmup_fallbacks_counter_.load(std::memory_order_relaxed)) {
         c->Increment();
       }
-      Tracer* tracer = nullptr;
+      RingTracer* tracer = nullptr;
       {
         MutexLock obs_lock(obs_mu_);
         tracer = obs_.tracer;
       }
       DecisionEvent ev;
       ev.outcome = DecisionOutcome::kOptimized;
-      ev.technique = "PqoManager(warmup-fallback:default_lambda)";
-      ev.template_key = st->key;
-      EmitDecisionEvent(tracer, std::move(ev));
+      ev.technique = warmup_fallback_name_;
+      ev.template_key = st->key_name;
+      EmitDecisionEvent(tracer, ev);
     } else {
       double avg_cost =
           st->warmup_cost_sum / static_cast<double>(st->warmup_seen);
@@ -234,7 +239,7 @@ PlanChoice PqoManager::OnInstance(const std::string& template_key,
       // audits can separate it from guaranteed decisions.
       choice.degraded = true;
       choice.optimized = false;
-      Tracer* tracer = nullptr;
+      RingTracer* tracer = nullptr;
       {
         MutexLock obs_lock(obs_mu_);
         tracer = obs_.tracer;
@@ -246,9 +251,9 @@ PlanChoice PqoManager::OnInstance(const std::string& template_key,
         DecisionEvent ev;
         ev.outcome = DecisionOutcome::kDegraded;
         ev.instance_id = wi.id;
-        ev.technique = "PqoManager(warmup-optimize-failed)";
-        ev.template_key = state->key;
-        EmitDecisionEvent(tracer, std::move(ev));
+        ev.technique = warmup_failed_name_;
+        ev.template_key = state->key_name;
+        EmitDecisionEvent(tracer, ev);
       }
     }
     // Leave warm-up only once the attempt target is reached AND every

@@ -145,12 +145,16 @@ class PqoManager {
   /// AsyncScr cache handles its own locking, so post-warm-up traffic on it
   /// takes no manager lock at all.
   struct TemplateState {
-    explicit TemplateState(std::string k) : key(std::move(k)) {}
+    explicit TemplateState(std::string k)
+        : key(std::move(k)), key_name(NameId::Intern(key)) {}
 
     /// Immutable identity: set before the state is published into the
     /// shard map, so lock-free readers (StatuszJson) can print it without
     /// taking mu.
     const std::string key;
+    /// `key` interned once at creation: the template stamp of the
+    /// manager's own decision events.
+    const NameId key_name;
 
     mutable Mutex mu;
     bool ready GUARDED_BY(mu) = false;  // warm-up done; one cache non-null
@@ -250,6 +254,9 @@ class PqoManager {
   // documented order is st->mu before obs_mu_).
   mutable Mutex obs_mu_;
   ObsHooks obs_ GUARDED_BY(obs_mu_);
+  /// Technique stamps of the manager's own (warm-up) events, interned once.
+  const NameId warmup_fallback_name_;
+  const NameId warmup_failed_name_;
   /// True when a tracer is attached, so OnInstance knows whether to open a
   /// getPlan span without taking obs_mu_ on the hot path.
   std::atomic<bool> span_enabled_{false};

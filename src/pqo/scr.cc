@@ -1,9 +1,11 @@
 #include "pqo/scr.h"
 
 #include <algorithm>
+#include <chrono>
 #include <cmath>
 #include <limits>
 #include <span>
+#include <sstream>
 #include <thread>
 #include <utility>
 
@@ -12,7 +14,6 @@
 #include "common/scratch_arena.h"
 #include "common/status.h"
 #include "obs/emit.h"
-#include "obs/scoped_timer.h"
 #include "optimizer/plan_memory.h"
 
 namespace scrpqo {
@@ -21,9 +22,18 @@ namespace {
 /// Tolerance when classifying a cost-check observation as a BCG/PCM
 /// violation (Appendix G); absorbs floating-point noise.
 constexpr double kViolationSlack = 1.02;
+
+std::string TechniqueName(const ScrOptions& options) {
+  std::ostringstream os;
+  os << "SCR" << options.lambda;
+  if (options.plan_budget > 0) os << "(k=" << options.plan_budget << ")";
+  if (options.dynamic_lambda) os << "(dyn)";
+  return os.str();
+}
 }  // namespace
 
-Scr::Scr(ScrOptions options) : options_(options) {
+Scr::Scr(ScrOptions options)
+    : options_(options), technique_(NameId::Intern(TechniqueName(options))) {
   SCRPQO_CHECK(options_.lambda >= 1.0, "lambda must be >= 1");
   lambda_r_effective_ = options_.lambda_r >= 1.0
                             ? options_.lambda_r
@@ -83,18 +93,16 @@ void Scr::SetObs(const ObsHooks& hooks) {
   }
 }
 
-void Scr::EmitEvent(DecisionEvent event, int instance_id,
-                    std::chrono::steady_clock::time_point start)
-    SCRPQO_EFFECT_ALLOW(alloc, "observability emission: only reachable with a tracer/metrics sink attached; the event's string stamps (technique/template key) are bounded and the untraced serving config — the one the arena-watermark test pins — never enters this function")
-    SCRPQO_EFFECT_ALLOW(lock, "capture-side locks only: the production capture path is the wait-free SPSC ring (obs/ring_tracer.h); the mutexed Tracer behind the same funnel is the wire-format reference used by tests and the CLI")
-    SCRPQO_EFFECT_ALLOW(block, "sink fan-out may flush to files in test/CLI configs; the serving config records into the SPSC ring and never blocks") {
+SCRPQO_HOT SCRPQO_NOALLOC SCRPQO_NONBLOCKING SCRPQO_LOCK_BOUNDED()
+void Scr::EmitEvent(DecisionEvent& event, int instance_id, int64_t start_ns,
+                    int64_t end_ns) {
   Counter* counter = decision_counters_[static_cast<int>(event.outcome)];
   if (counter != nullptr) counter->Increment();
   if (obs_.tracer == nullptr) return;
   event.instance_id = instance_id;
-  event.technique = name();
+  event.technique = technique_;
   event.template_key = scope_label_;
-  event.wall_micros = ScopedTimer::ElapsedMicros(start);
+  if (start_ns >= 0 && end_ns >= start_ns) event.wall_ns = end_ns - start_ns;
   // Per-instance decisions carry the ambient span's stage breakdown;
   // meta events (evictions) don't — their timing belongs to the decision
   // that triggered them. Open StageTimers must be stopped before emitting
@@ -104,7 +112,13 @@ void Scr::EmitEvent(DecisionEvent event, int instance_id,
       event.stages = *b;
     }
   }
-  EmitDecisionEvent(obs_.tracer, std::move(event));
+  EmitDecisionEvent(obs_.tracer, event);
+}
+
+void Scr::RecordAttemptTime(int64_t start_ns, int64_t end_ns) const {
+  if (get_plan_micros_ != nullptr && start_ns >= 0 && end_ns >= start_ns) {
+    get_plan_micros_->Record(static_cast<double>((end_ns - start_ns) / 1000));
+  }
 }
 
 int64_t Scr::NumInstancesStored() const {
@@ -119,26 +133,25 @@ PlanChoice Scr::OnInstance(const WorkloadInstance& wi, EngineContext* engine) {
   // Outermost span for the whole decision (reuse attempt + optimize +
   // manageCache); a no-op when a PqoManager already opened one upstream.
   GetPlanSpan span(obs_.tracer != nullptr);
-  auto start = std::chrono::steady_clock::now();
   PlanChoice choice;
-  if (TryReuse(wi, engine, &choice)) return choice;
+  int64_t start_ns = -1;
+  if (TryReuse(wi, engine, &choice, &start_ns)) return choice;
 
   // ---- Optimize + manageCache (Algorithm 2) ----
   auto result = engine->Optimize(wi);
   if (result == nullptr) [[unlikely]] {
     // Optimizer unavailable (fault or deadline overrun): serve whatever
     // the cache has, without the guarantee.
-    ServeDegraded(wi, engine, &choice, start);
+    ServeDegraded(wi, engine, &choice, start_ns);
     return choice;
   }
   choice.optimized = true;
-  ManageCache(wi, result, engine, &choice, start);
+  ManageCache(wi, result, engine, &choice, start_ns);
   return choice;
 }
 
 void Scr::ServeDegraded(const WorkloadInstance& wi, EngineContext* engine,
-                        PlanChoice* choice,
-                        std::chrono::steady_clock::time_point start) {
+                        PlanChoice* choice, int64_t start_ns) {
   choice->degraded = true;
   const SVector& sv = wi.svector;
   // Best cached plan by recost: the selectivity/cost checks already
@@ -167,7 +180,7 @@ void Scr::ServeDegraded(const WorkloadInstance& wi, EngineContext* engine,
         // after all (guarantee intact), not a degraded one.
         choice->degraded = false;
         choice->optimized = true;
-        ManageCache(wi, retry, engine, choice, start);
+        ManageCache(wi, retry, engine, choice, start_ns);
         return;
       }
     }
@@ -183,7 +196,8 @@ void Scr::ServeDegraded(const WorkloadInstance& wi, EngineContext* engine,
     // guaranteed set (lambda stays -1).
     ev.recost_calls = choice->recost_calls_in_get_plan;
     ev.candidates_scanned = choice->cost_check_candidates_in_get_plan;
-    EmitEvent(std::move(ev), wi.id, start);
+    EmitEvent(ev, wi.id, start_ns,
+              obs_.tracer != nullptr ? ObsClock::NowNs() : -1);
   }
 }
 
@@ -196,20 +210,22 @@ void Scr::RegisterOptimization(
   PlanChoice ignored;
   ignored.recost_calls_in_get_plan = get_plan_recosts;
   ignored.cost_check_candidates_in_get_plan = get_plan_candidates;
-  ManageCache(wi, std::move(result), engine, &ignored,
-              std::chrono::steady_clock::now());
+  ManageCache(wi, std::move(result), engine, &ignored, /*start_ns=*/-1);
 }
 
 SCRPQO_HOT SCRPQO_NOALLOC SCRPQO_NONBLOCKING SCRPQO_LOCK_BOUNDED()
 bool Scr::TryReuse(const WorkloadInstance& wi, EngineContext* engine,
-                   PlanChoice* choice_out) {
+                   PlanChoice* choice_out, int64_t* start_ns_out) {
   // Standalone reuse attempts (AsyncScr's critical path) get their own
   // span here; when Scr::OnInstance or a PqoManager opened one already
   // this is a no-op and stages accumulate into the outer breakdown.
   GetPlanSpan span(obs_.tracer != nullptr);
-  std::chrono::steady_clock::time_point start{};
-  if (obs_.tracer != nullptr) start = std::chrono::steady_clock::now();
-  ScopedTimer get_plan_timer(get_plan_micros_);
+  // The attempt is timed by its stage timers' own clock stamps: the first
+  // stage's start opens it and the last stage's stop closes it, so the
+  // event's wall time and scr.get_plan_micros cost no extra clock read.
+  // Every Scr stage timer is armed under the same condition (a span or
+  // the metrics registry), so start_ns >= 0 means all of them are.
+  int64_t start_ns = -1;
   PlanChoice& choice = *choice_out;
   const SVector& sv = wi.svector;
 
@@ -239,6 +255,8 @@ bool Scr::TryReuse(const WorkloadInstance& wi, EngineContext* engine,
         options_.dynamic_lambda ? options_.lambda_max : options_.lambda;
     StageTimer probe_timer(Stage::kIndexProbe,
                            stage_hists_[Stage::kIndexProbe]);
+    start_ns = probe_timer.start_ns();
+    if (start_ns_out != nullptr) *start_ns_out = start_ns;
     ArenaVec<InstanceKdTree::Match> matches(arena);
     index_->RangeQueryInto(sv, envelope, &matches);
     probe_timer.Stop();
@@ -250,7 +268,8 @@ bool Scr::TryReuse(const WorkloadInstance& wi, EngineContext* engine,
         e.usage.Add(1);
         store_.AddUsage(e.plan_id, 1);
         choice.plan = store_.entry(e.plan_id).plan;
-        sel_timer.Stop();
+        const int64_t end_ns = sel_timer.Stop();
+        RecordAttemptTime(start_ns, end_ns);
         if (obs_.tracer != nullptr || obs_.metrics != nullptr) {
           DecisionEvent ev;
           ev.outcome = DecisionOutcome::kSelCheckHit;
@@ -262,7 +281,7 @@ bool Scr::TryReuse(const WorkloadInstance& wi, EngineContext* engine,
             ev.g = gl.g;
             ev.l = gl.l;
           }
-          EmitEvent(std::move(ev), wi.id, start);
+          EmitEvent(ev, wi.id, start_ns, end_ns);
         }
         return true;
       }
@@ -289,6 +308,8 @@ bool Scr::TryReuse(const WorkloadInstance& wi, EngineContext* engine,
     }
   } else {
     StageTimer sel_timer(Stage::kSelCheck, stage_hists_[Stage::kSelCheck]);
+    start_ns = sel_timer.start_ns();
+    if (start_ns_out != nullptr) *start_ns_out = start_ns;
     for (size_t i = 0; i < instances_.size(); ++i) {
       InstanceEntry& e = instances_[i];
       if (!e.live) continue;
@@ -300,7 +321,8 @@ bool Scr::TryReuse(const WorkloadInstance& wi, EngineContext* engine,
         e.usage.Add(1);
         store_.AddUsage(e.plan_id, 1);
         choice.plan = store_.entry(e.plan_id).plan;
-        sel_timer.Stop();
+        const int64_t end_ns = sel_timer.Stop();
+        RecordAttemptTime(start_ns, end_ns);
         if (obs_.tracer != nullptr || obs_.metrics != nullptr) {
           DecisionEvent ev;
           ev.outcome = DecisionOutcome::kSelCheckHit;
@@ -309,7 +331,7 @@ bool Scr::TryReuse(const WorkloadInstance& wi, EngineContext* engine,
           ev.l = l;
           ev.subopt = e.subopt;
           ev.lambda = LambdaFor(e);
-          EmitEvent(std::move(ev), wi.id, start);
+          EmitEvent(ev, wi.id, start_ns, end_ns);
         }
         return true;
       }
@@ -369,6 +391,9 @@ bool Scr::TryReuse(const WorkloadInstance& wi, EngineContext* engine,
   int recosts = 0;
   int hit = -1;
   double hit_r = 0.0;
+  // The attempt ends at the last stage stop so far, or at the sweep's
+  // batch_recost stop when the engine's timer is armed (see below).
+  int64_t end_ns = start_ns >= 0 ? ObsClock::LastNs() : -1;
   if (!candidates.empty()) {
     ArenaVec<double> cand_costs(arena, candidates.size());
     cand_costs.resize(candidates.size());
@@ -435,7 +460,11 @@ bool Scr::TryReuse(const WorkloadInstance& wi, EngineContext* engine,
                                              cand_plans.size()),
           sv, cost_span, cost_visitor);
     }
+    // Reuse the engine's batch_recost stop stamp; only when its timer was
+    // unarmed (engine without metrics, no span) is the clock read here.
+    if (start_ns >= 0) end_ns = ObsClock::NowAfter(end_ns);
   }
+  RecordAttemptTime(start_ns, end_ns);
   if (hit >= 0) {
     const Candidate& c = candidates[static_cast<size_t>(hit)];
     InstanceEntry& e = instances_[c.entry];
@@ -455,7 +484,7 @@ bool Scr::TryReuse(const WorkloadInstance& wi, EngineContext* engine,
       ev.lambda = LambdaFor(e);
       ev.candidates_scanned = choice.cost_check_candidates_in_get_plan;
       ev.recost_calls = recosts;
-      EmitEvent(std::move(ev), wi.id, start);
+      EmitEvent(ev, wi.id, start_ns, end_ns);
     }
     return true;
   }
@@ -468,19 +497,21 @@ bool Scr::TryReuse(const WorkloadInstance& wi, EngineContext* engine,
 void Scr::ManageCache(const WorkloadInstance& wi,
                       std::shared_ptr<const OptimizationResult> result,
                       EngineContext* engine, PlanChoice* choice,
-                      std::chrono::steady_clock::time_point start) {
+                      int64_t start_ns) {
   // Covers the store-or-reuse half (including the redundancy check's
   // recosts); stopped before the decision event is emitted so the
-  // "manage_cache" stage appears in its breakdown. The bookkeeping tail
-  // (budget eviction, instance-list push) stays unattributed.
+  // "manage_cache" stage appears in its breakdown, and its stop stamp
+  // closes the event's wall time. The bookkeeping tail (budget eviction,
+  // instance-list push) stays unattributed.
   StageTimer manage_cache_timer(Stage::kManageCache, manage_cache_micros_);
+  if (start_ns < 0) start_ns = manage_cache_timer.start_ns();
   const SVector& sv = wi.svector;
   if (FaultShouldFire(faults::kColdAllocFail)) [[unlikely]] {
     // Simulated allocation failure on the cold path: serve the freshly
     // optimized plan but skip cache insertion. The served plan is the
     // optimal one, so the decision keeps the guarantee — only cache
     // growth is lost (the next similar instance re-optimizes).
-    manage_cache_timer.Stop();
+    const int64_t end_ns = manage_cache_timer.Stop();
     choice->plan = std::make_shared<CachedPlan>(MakeCachedPlan(*result));
     if (obs_.tracer != nullptr || obs_.metrics != nullptr) {
       DecisionEvent ev;
@@ -488,7 +519,7 @@ void Scr::ManageCache(const WorkloadInstance& wi,
       ev.matched_entry = -1;
       ev.candidates_scanned = choice->cost_check_candidates_in_get_plan;
       ev.recost_calls = choice->recost_calls_in_get_plan;
-      EmitEvent(std::move(ev), wi.id, start);
+      EmitEvent(ev, wi.id, start_ns, end_ns);
     }
     return;
   }
@@ -499,7 +530,7 @@ void Scr::ManageCache(const WorkloadInstance& wi,
   PlanStore::StoreResult stored =
       store_.StoreOrReuse(cached, sv, result->cost, lambda_r_effective_,
                           engine);
-  manage_cache_timer.Stop();
+  const int64_t end_ns = manage_cache_timer.Stop();
 
   if (obs_.tracer != nullptr || obs_.metrics != nullptr) {
     DecisionEvent ev;
@@ -514,7 +545,7 @@ void Scr::ManageCache(const WorkloadInstance& wi,
     }
     ev.candidates_scanned = choice->cost_check_candidates_in_get_plan;
     ev.recost_calls = choice->recost_calls_in_get_plan;
-    EmitEvent(std::move(ev), wi.id, start);
+    EmitEvent(ev, wi.id, start_ns, end_ns);
   }
 
   if (!stored.already_present && !stored.reused_existing) {
@@ -561,7 +592,8 @@ void Scr::DropPlanAndEntries(int victim, int instance_id) {
     DecisionEvent ev;
     ev.outcome = DecisionOutcome::kEvicted;
     ev.matched_entry = victim;
-    EmitEvent(std::move(ev), instance_id, std::chrono::steady_clock::now());
+    // Meta event: untimed (its cost belongs to the triggering decision).
+    EmitEvent(ev, instance_id, /*start_ns=*/-1, /*end_ns=*/-1);
   }
   // Dropping the instance entries keeps the lambda-optimality guarantee
   // intact (Section 6.3.1): no future inference can use the gone plan.

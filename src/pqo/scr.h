@@ -7,10 +7,9 @@
 // check for existing plans (Appendix F).
 #pragma once
 
-#include <chrono>
 #include <cstdint>
 #include <memory>
-#include <sstream>
+#include <string>
 #include <vector>
 
 #include "common/atomics.h"
@@ -72,13 +71,9 @@ class Scr : public PqoTechnique {
  public:
   explicit Scr(ScrOptions options);
 
-  std::string name() const override {
-    std::ostringstream os;
-    os << "SCR" << options_.lambda;
-    if (options_.plan_budget > 0) os << "(k=" << options_.plan_budget << ")";
-    if (options_.dynamic_lambda) os << "(dyn)";
-    return os.str();
-  }
+  /// "SCR<lambda>[(k=<budget>)][(dyn)]", interned at construction (it is
+  /// the technique stamp of every event this cache emits).
+  std::string name() const override { return technique_.str(); }
 
   PlanChoice OnInstance(const WorkloadInstance& wi,
                         EngineContext* engine) override;
@@ -103,9 +98,14 @@ class Scr : public PqoTechnique {
   /// the whole reuse attempt performs no heap allocation — the definition
   /// carries SCRPQO_HOT / SCRPQO_NOALLOC / SCRPQO_NONBLOCKING /
   /// SCRPQO_LOCK_BOUNDED() contracts proved by tools/analyze.
+  ///
+  /// `start_ns`, when given, receives the attempt's first stage-timer
+  /// stamp (obs/span.h; -1 when no timer was armed), so a caller that goes
+  /// on to optimize can time the whole decision without another clock
+  /// read.
   [[nodiscard]] bool TryReuse(const WorkloadInstance& wi,
-                              EngineContext* engine,
-                PlanChoice* choice);
+                              EngineContext* engine, PlanChoice* choice,
+                              int64_t* start_ns = nullptr);
 
   /// manageCache's entry point for an externally-performed optimization
   /// (Algorithm 2). Thread-compatible: callers serialize access.
@@ -124,10 +124,10 @@ class Scr : public PqoTechnique {
   /// `choice->plan` stays null only when every retry failed on an empty
   /// cache. Thread-compatible: may mutate the cache structurally, so
   /// callers serialize it with other structural mutation (AsyncScr takes
-  /// the exclusive lock).
+  /// the exclusive lock). `start_ns` is the decision's first clock stamp
+  /// (TryReuse's), used for the event's wall time.
   void ServeDegraded(const WorkloadInstance& wi, EngineContext* engine,
-                     PlanChoice* choice,
-                     std::chrono::steady_clock::time_point start);
+                     PlanChoice* choice, int64_t start_ns);
 
   int64_t NumPlansCached() const override { return store_.NumLive(); }
   int64_t PeakPlansCached() const override { return store_.Peak(); }
@@ -173,8 +173,11 @@ class Scr : public PqoTechnique {
   int64_t EstimatedMemoryBytes() const;
 
   /// Tags every emitted DecisionEvent with `label` (template key when this
-  /// cache serves one template of a PqoManager). Set before traffic.
-  void SetScopeLabel(std::string label) { scope_label_ = std::move(label); }
+  /// cache serves one template of a PqoManager). Set before traffic;
+  /// interns the label.
+  void SetScopeLabel(const std::string& label) {
+    scope_label_ = NameId::Intern(label);
+  }
 
   // --- cache persistence (see pqo/cache_persistence.h) ---
 
@@ -220,10 +223,16 @@ class Scr : public PqoTechnique {
   /// (Section 5.3), used by CostCheckOrder::kDescendingRegionArea.
   double RegionArea(const InstanceEntry& e) const;
 
+  /// `start_ns` (< 0: the manage_cache timer's own start) opens the
+  /// emitted event's wall time.
   void ManageCache(const WorkloadInstance& wi,
                    std::shared_ptr<const OptimizationResult> result,
                    EngineContext* engine, PlanChoice* choice,
-                   std::chrono::steady_clock::time_point start);
+                   int64_t start_ns);
+
+  /// Closes a reuse attempt: records scr.get_plan_micros from the
+  /// attempt's first to last stage-timer stamp (no-op when unarmed).
+  void RecordAttemptTime(int64_t start_ns, int64_t end_ns) const;
 
 
   /// Enforces the per-cache plan budget by LFU eviction. `pinned_plan_id`
@@ -236,14 +245,19 @@ class Scr : public PqoTechnique {
   /// at it, which keeps the lambda guarantee intact (Section 6.3.1).
   void DropPlanAndEntries(int victim, int instance_id);
 
-  /// Stamps technique/instance fields and hands the event to the tracer
-  /// (no-op without one); bumps the matching decision counter.
-  void EmitEvent(DecisionEvent event, int instance_id,
-                 std::chrono::steady_clock::time_point start);
+  /// Bumps the matching decision counter and, with a tracer attached,
+  /// stamps the instance, names, wall time (`end_ns - start_ns`, from
+  /// stamps the caller's stage timers already took; 0 when either is -1)
+  /// and the ambient stage breakdown into `event` in place, then records
+  /// it: one copy, into the tracer's ring.
+  void EmitEvent(DecisionEvent& event, int instance_id, int64_t start_ns,
+                 int64_t end_ns);
 
   ScrOptions options_;
+  /// Stamped into DecisionEvent::technique.
+  NameId technique_;
   /// Stamped into DecisionEvent::template_key (empty = unscoped).
-  std::string scope_label_;
+  NameId scope_label_;
   double lambda_r_effective_;
   PlanStore store_;
   std::vector<InstanceEntry> instances_;

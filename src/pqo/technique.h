@@ -9,7 +9,7 @@
 #include <string>
 
 #include "obs/metrics_registry.h"
-#include "obs/trace.h"
+#include "obs/ring_tracer.h"
 #include "optimizer/recost.h"
 #include "pqo/engine_context.h"
 
@@ -20,7 +20,7 @@ namespace scrpqo {
 /// The sinks outlive the technique and are thread-safe, so AsyncScr's
 /// worker may write to them concurrently with the critical path.
 struct ObsHooks {
-  Tracer* tracer = nullptr;
+  RingTracer* tracer = nullptr;
   MetricsRegistry* metrics = nullptr;
 };
 

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 #include "pqo/cache_persistence.h"
@@ -18,19 +19,26 @@ std::string Fmt(double v) {
   return buf;
 }
 
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
 /// Collects violations for one event or cache entry.
 class Finder {
  public:
-  Finder(const AuditConfig& config, AuditReport* report, int64_t seq,
-         int64_t entry)
-      : config_(config), report_(report), seq_(seq), entry_(entry) {}
+  Finder(const AuditConfig& config, std::vector<AuditViolation>* out,
+         int64_t seq, int64_t entry, NameId template_key = NameId())
+      : config_(config),
+        out_(out),
+        seq_(seq),
+        entry_(entry),
+        template_key_(template_key) {}
 
   void Flag(const std::string& detail) {
     AuditViolation v;
     v.seq = seq_;
     v.entry = entry_;
+    v.template_key = template_key_.str();
     v.detail = detail;
-    report_->violations.push_back(std::move(v));
+    out_->push_back(std::move(v));
   }
 
   /// lhs <= rhs within the configured relative tolerance.
@@ -39,11 +47,22 @@ class Finder {
                       config_.rel_tolerance;
   }
 
+  /// Checks the guarantee inequality lhs <= rhs the event claims: records
+  /// its relative margin (rhs - lhs) / rhs and returns whether it holds.
+  bool Claim(double lhs, double rhs) {
+    margin_ = rhs > 0.0 && std::isfinite(rhs) ? (rhs - lhs) / rhs : kInf;
+    return Holds(lhs, rhs);
+  }
+
+  double margin() const { return margin_; }
+
  private:
   const AuditConfig& config_;
-  AuditReport* report_;
+  std::vector<AuditViolation>* out_;
   int64_t seq_;
   int64_t entry_;
+  NameId template_key_;
+  double margin_ = kInf;
 };
 
 bool Present(double field) { return field >= 0.0; }
@@ -85,9 +104,11 @@ void CheckLambdaField(const DecisionEvent& e, const AuditConfig& config,
   }
 }
 
-void AuditEvent(const DecisionEvent& e, const AuditConfig& config,
-                AuditReport* report) {
-  Finder f(config, report, e.seq, /*entry=*/-1);
+}  // namespace
+
+double AuditEvent(const DecisionEvent& e, const AuditConfig& config,
+                  std::vector<AuditViolation>* violations) {
+  Finder f(config, violations, e.seq, /*entry=*/-1, e.template_key);
   switch (e.outcome) {
     case DecisionOutcome::kSelCheckHit: {
       // Theorem 2: reusing entry qe's plan at qc is lambda-optimal when
@@ -107,7 +128,7 @@ void AuditEvent(const DecisionEvent& e, const AuditConfig& config,
                " < 1");
       }
       if (Present(e.lambda) &&
-          !f.Holds(e.g * e.l, e.lambda / e.subopt)) {
+          !f.Claim(e.g * e.l, e.lambda / e.subopt)) {
         f.Flag("sel check violated: G*L = " + Fmt(e.g) + " * " + Fmt(e.l) +
                " = " + Fmt(e.g * e.l) + " > lambda/S = " + Fmt(e.lambda) +
                "/" + Fmt(e.subopt) + " = " + Fmt(e.lambda / e.subopt));
@@ -127,13 +148,13 @@ void AuditEvent(const DecisionEvent& e, const AuditConfig& config,
           f.Flag("matched entry has sub-optimality S=" + Fmt(e.subopt) +
                  " < 1");
         }
-        if (!f.Holds(e.r * e.l, e.lambda / e.subopt)) {
+        if (!f.Claim(e.r * e.l, e.lambda / e.subopt)) {
           f.Flag("cost check violated: R*L = " + Fmt(e.r) + " * " +
                  Fmt(e.l) + " = " + Fmt(e.r * e.l) + " > lambda/S = " +
                  Fmt(e.lambda) + "/" + Fmt(e.subopt) + " = " +
                  Fmt(e.lambda / e.subopt));
         }
-      } else if (!f.Holds(e.r, e.lambda)) {
+      } else if (!f.Claim(e.r, e.lambda)) {
         // PCM-style inference: the upper/lower cost ratio bounds SO.
         f.Flag("PCM inference violated: R = " + Fmt(e.r) +
                " > lambda = " + Fmt(e.lambda));
@@ -151,7 +172,7 @@ void AuditEvent(const DecisionEvent& e, const AuditConfig& config,
       if (e.r < 1.0) {
         f.Flag("stored sub-optimality Smin=" + Fmt(e.r) + " < 1");
       }
-      if (Present(e.lambda) && !f.Holds(e.r, e.lambda)) {
+      if (Present(e.lambda) && !f.Claim(e.r, e.lambda)) {
         f.Flag("redundancy check violated: Smin = " + Fmt(e.r) +
                " > lambda_r = " + Fmt(e.lambda));
       }
@@ -178,9 +199,8 @@ void AuditEvent(const DecisionEvent& e, const AuditConfig& config,
       // synthesized about the stream rather than decisions in it.
       break;
   }
+  return f.margin();
 }
-
-}  // namespace
 
 std::string AuditReport::ToString(int max_lines) const {
   std::ostringstream os;
@@ -253,13 +273,8 @@ AuditReport AuditTrace(const std::vector<DecisionEvent>& events,
   for (const DecisionEvent& e : events) {
     ++report.events_checked;
     size_t before = report.violations.size();
-    AuditEvent(e, config, &report);
-    // Stamp this event's template onto the violations it produced and fold
-    // it into the per-template rollup.
-    for (size_t i = before; i < report.violations.size(); ++i) {
-      report.violations[i].template_key = e.template_key;
-    }
-    TemplateAuditSummary& s = report.by_template[e.template_key];
+    AuditEvent(e, config, &report.violations);
+    TemplateAuditSummary& s = report.by_template[e.template_key.str()];
     ++s.events;
     s.violations += static_cast<int64_t>(report.violations.size() - before);
     // Rollup of the sub-optimality bound in force: redundancy decisions
@@ -291,14 +306,16 @@ AuditReport AuditCacheSnapshot(const std::vector<PlanPtr>& plans,
   for (size_t i = 0; i < plans.size(); ++i) {
     ++report.plans_checked;
     if (plans[i] == nullptr) {
-      Finder f(config, &report, /*seq=*/-1, static_cast<int64_t>(i));
+      Finder f(config, &report.violations, /*seq=*/-1,
+               static_cast<int64_t>(i));
       f.Flag("null plan at ordinal " + std::to_string(i));
     }
   }
   for (size_t i = 0; i < entries.size(); ++i) {
     const Scr::SnapshotEntry& e = entries[i];
     ++report.entries_checked;
-    Finder f(config, &report, /*seq=*/-1, static_cast<int64_t>(i));
+    Finder f(config, &report.violations, /*seq=*/-1,
+             static_cast<int64_t>(i));
     if (e.plan_ordinal < 0 ||
         e.plan_ordinal >= static_cast<int>(plans.size())) {
       f.Flag("dangling plan ordinal " + std::to_string(e.plan_ordinal) +

@@ -101,9 +101,18 @@ struct AuditReport {
   void Merge(const AuditReport& other);
 };
 
-/// Re-derives every decision in `events`. Events from any technique are
-/// accepted; the rule applied is selected by the fields the event carries
-/// (SCR cost checks record L and S, PCM's record neither).
+/// Audits one event: appends its violations (stamped with the event's seq
+/// and template) to `violations` and returns the relative compliance
+/// margin (rhs - lhs) / rhs of the guarantee inequality it claims — 0 at
+/// the bound, < 0 violated, +inf when it claims none. The one function
+/// that decides which inequality an event claims, from its outcome and
+/// the fields it carries (SCR cost checks record L and S, PCM's record
+/// neither); AuditTrace and the online auditor both apply it.
+double AuditEvent(const DecisionEvent& event, const AuditConfig& config,
+                  std::vector<AuditViolation>* violations);
+
+/// Re-derives every decision in `events` with AuditEvent and rolls the
+/// results up per template.
 AuditReport AuditTrace(const std::vector<DecisionEvent>& events,
                        const AuditConfig& config);
 

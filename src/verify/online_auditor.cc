@@ -11,53 +11,12 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-bool Present(double field) { return field >= 0.0; }
-
-/// Relative compliance margin (rhs - lhs) / rhs for one lhs <= rhs
-/// inequality; returns +inf when the inequality does not apply.
-double Margin(double lhs, double rhs) {
-  if (rhs <= 0.0) return kInf;
-  return (rhs - lhs) / rhs;
-}
-
-/// The margin of the guarantee inequality `e` claims to satisfy, mirroring
-/// the rule selection in the offline AuditEvent: sel checks carry G/L/S,
-/// SCR cost checks carry R/L/S, PCM inference only R, redundancy Smin.
-double EventMargin(const DecisionEvent& e) {
-  if (!Present(e.lambda)) return kInf;
-  switch (e.outcome) {
-    case DecisionOutcome::kSelCheckHit:
-      if (Present(e.g) && Present(e.l) && Present(e.subopt) &&
-          e.subopt > 0.0) {
-        return Margin(e.g * e.l, e.lambda / e.subopt);
-      }
-      return kInf;
-    case DecisionOutcome::kCostCheckHit:
-      if (!Present(e.r)) return kInf;
-      if (Present(e.l) && Present(e.subopt) && e.subopt > 0.0) {
-        return Margin(e.r * e.l, e.lambda / e.subopt);
-      }
-      return Margin(e.r, e.lambda);
-    case DecisionOutcome::kRedundantDiscard:
-      if (!Present(e.r)) return kInf;
-      return Margin(e.r, e.lambda);
-    case DecisionOutcome::kOptimized:
-    case DecisionOutcome::kEvicted:
-    case DecisionOutcome::kAuditAlert:
-    case DecisionOutcome::kRingDropped:
-    case DecisionOutcome::kDegraded:
-    case DecisionOutcome::kFaultInjected:
-      // kDegraded explicitly claims NO bound (lambda unset), so there is
-      // no inequality to monitor; fault-injected is a meta event.
-      return kInf;
-  }
-  return kInf;
-}
-
 }  // namespace
 
 OnlineAuditor::OnlineAuditor(OnlineAuditorOptions options)
-    : options_(std::move(options)), worst_margin_(kInf) {
+    : options_(std::move(options)),
+      alert_name_(NameId::Intern("online-auditor")),
+      worst_margin_(kInf) {
   if (options_.metrics != nullptr) {
     checked_counter_ = options_.metrics->counter("verify.online.checked");
     violations_counter_ =
@@ -67,76 +26,62 @@ OnlineAuditor::OnlineAuditor(OnlineAuditorOptions options)
 }
 
 void OnlineAuditor::Consume(const std::vector<DecisionEvent>& events) {
-  // Filter to genuine getPlan decisions: meta events (alerts we emitted
-  // ourselves, ring-drop records) must not be re-audited or the auditor
-  // feeding its own tracer would alert on its alerts forever.
-  std::vector<DecisionEvent> decisions;
-  decisions.reserve(events.size());
-  for (const DecisionEvent& e : events) {
-    if (IsDecisionOutcome(e.outcome)) decisions.push_back(e);
-  }
-  if (decisions.empty()) return;
-
-  // Same rules as the offline audit, applied to the in-flight batch.
-  AuditReport report = AuditTrace(decisions, options_.config);
-
-  // Alerts need the offending event's fields; violations reference it by
-  // trace seq.
-  std::map<int64_t, const DecisionEvent*> by_seq;
-  for (const DecisionEvent& e : decisions) by_seq[e.seq] = &e;
-
-  if (checked_counter_ != nullptr) {
-    checked_counter_->Increment(static_cast<int64_t>(decisions.size()));
-  }
-  if (violations_counter_ != nullptr && !report.violations.empty()) {
-    violations_counter_->Increment(
-        static_cast<int64_t>(report.violations.size()));
-  }
-
+  int64_t checked = 0;
+  int64_t violations = 0;
   std::vector<DecisionEvent> alerts;
   {
     MutexLock lock(mu_);
-    checked_ += static_cast<int64_t>(decisions.size());
-    violations_ += static_cast<int64_t>(report.violations.size());
-    for (const DecisionEvent& e : decisions) {
-      TemplateStats& ts = per_template_
-                              .try_emplace(e.template_key, TemplateStats{
-                                                               0, 0, kInf})
-                              .first->second;
+    for (const DecisionEvent& e : events) {
+      // Only genuine getPlan decisions: meta events (alerts we emitted
+      // ourselves, ring-drop records) must not be re-audited or the
+      // auditor feeding its own tracer would alert on its alerts forever.
+      if (!IsDecisionOutcome(e.outcome)) continue;
+      ++checked;
+      violations_scratch_.clear();
+      // Same rule as the offline audit, one event at a time.
+      const double m = AuditEvent(e, options_.config, &violations_scratch_);
+      TemplateStats& ts =
+          per_template_.try_emplace(e.template_key, TemplateStats{0, 0, kInf})
+              .first->second;
       ++ts.checked;
-      double m = EventMargin(e);
       if (m < ts.worst_margin) ts.worst_margin = m;
       if (m < worst_margin_) worst_margin_ = m;
-    }
-    for (const AuditViolation& v : report.violations) {
-      auto it = by_seq.find(v.seq);
-      const DecisionEvent* src = it == by_seq.end() ? nullptr : it->second;
-      const std::string& key = src != nullptr ? src->template_key : v.template_key;
-      ++per_template_.try_emplace(key, TemplateStats{0, 0, kInf})
-            .first->second.violations;
-      if (options_.alert_tracer != nullptr && src != nullptr) {
+      if (violations_scratch_.empty()) continue;
+      const int64_t n = static_cast<int64_t>(violations_scratch_.size());
+      violations += n;
+      ts.violations += n;
+      if (options_.alert_tracer != nullptr) {
         // The alert carries the offending decision's identity and factors
         // so `trace_summarize` / the admin surface can show what broke
-        // without joining back to the original event.
+        // without joining back to the original event; one alert per
+        // violated rule.
         DecisionEvent alert;
         alert.outcome = DecisionOutcome::kAuditAlert;
-        alert.technique = "online-auditor";
-        alert.template_key = src->template_key;
-        alert.instance_id = src->instance_id;
-        alert.matched_entry = src->matched_entry;
-        alert.g = src->g;
-        alert.l = src->l;
-        alert.r = src->r;
-        alert.subopt = src->subopt;
-        alert.lambda = src->lambda;
-        alerts.push_back(std::move(alert));
+        alert.technique = alert_name_;
+        alert.template_key = e.template_key;
+        alert.instance_id = e.instance_id;
+        alert.matched_entry = e.matched_entry;
+        alert.g = e.g;
+        alert.l = e.l;
+        alert.r = e.r;
+        alert.subopt = e.subopt;
+        alert.lambda = e.lambda;
+        alerts.insert(alerts.end(), violations_scratch_.size(), alert);
       }
     }
+    checked_ += checked;
+    violations_ += violations;
     PublishLocked();
   }
+  if (checked_counter_ != nullptr && checked > 0) {
+    checked_counter_->Increment(checked);
+  }
+  if (violations_counter_ != nullptr && violations > 0) {
+    violations_counter_->Increment(violations);
+  }
   // Emit outside mu_: Record may re-enter tracer machinery.
-  for (DecisionEvent& alert : alerts) {
-    EmitDecisionEvent(options_.alert_tracer, std::move(alert));
+  for (const DecisionEvent& alert : alerts) {
+    EmitDecisionEvent(options_.alert_tracer, alert);
   }
 }
 
@@ -164,7 +109,11 @@ double OnlineAuditor::worst_margin() const {
 std::map<std::string, OnlineAuditor::TemplateStats>
 OnlineAuditor::PerTemplate() const {
   MutexLock lock(mu_);
-  return per_template_;
+  std::map<std::string, TemplateStats> out;
+  for (const auto& [name, stats] : per_template_) {
+    out.emplace(name.str(), stats);
+  }
+  return out;
 }
 
 }  // namespace scrpqo

@@ -14,6 +14,9 @@
 // so an implementation bug that breaks the within-lambda-of-optimal
 // contract is caught while the process is serving, not in a post-mortem.
 //
+// Which inequality an event claims, and its compliance margin, is decided
+// by the offline AuditEvent itself: the two auditors share one rule.
+//
 // On a violation the auditor emits a kAuditAlert event back through the
 // alert tracer (carrying the offending event's template, instance id and
 // guarantee factors) and bumps "verify.online.violations". Meta events
@@ -30,12 +33,13 @@
 
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "common/thread_annotations.h"
 #include "obs/metrics_registry.h"
+#include "obs/ring_tracer.h"
 #include "obs/sink.h"
 #include "obs/trace.h"
 #include "verify/guarantee_audit.h"
@@ -49,7 +53,7 @@ struct OnlineAuditorOptions {
   /// Where kAuditAlert events are emitted. May be the very tracer this
   /// sink is attached to (the alert then shows up in the next drain
   /// cycle); null disables alert emission.
-  Tracer* alert_tracer = nullptr;
+  RingTracer* alert_tracer = nullptr;
   /// Publishes the verify.online.* metrics; null disables them.
   MetricsRegistry* metrics = nullptr;
 };
@@ -84,12 +88,18 @@ class OnlineAuditor : public TraceSink {
   /// Immutable after construction (alert emission reads the tracer
   /// pointer lock-free outside mu_).
   const OnlineAuditorOptions options_;
+  /// Technique stamp of the kAuditAlert events.
+  const NameId alert_name_;
 
   mutable Mutex mu_;
   int64_t checked_ GUARDED_BY(mu_) = 0;
   int64_t violations_ GUARDED_BY(mu_) = 0;
   double worst_margin_ GUARDED_BY(mu_);
-  std::map<std::string, TemplateStats> per_template_ GUARDED_BY(mu_);
+  /// Rollups keyed by template (names resolve on read).
+  std::unordered_map<NameId, TemplateStats> per_template_ GUARDED_BY(mu_);
+  /// Consume scratch (violations of the event being audited), reused so
+  /// a clean batch allocates nothing.
+  std::vector<AuditViolation> violations_scratch_ GUARDED_BY(mu_);
 
   // Cached metric handles (resolved once in the constructor — the
   // registry's string-keyed lookup never runs on the consume path).

@@ -57,7 +57,7 @@ struct RunSequenceOptions {
   std::string ordering_name;
   /// Optional decision tracer: attached to the technique so every instance
   /// produces one decision event (plus cache events). Must outlive the run.
-  Tracer* tracer = nullptr;
+  RingTracer* tracer = nullptr;
   /// Optional metrics registry: attached to technique and engine; each
   /// OnInstance is additionally timed into "get_plan_micros", and the
   /// registry snapshot lands in SequenceMetrics::obs. Must outlive the run.

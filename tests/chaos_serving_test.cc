@@ -26,6 +26,7 @@
 #include "common/fault_injection.h"
 #include "common/rng.h"
 #include "obs/metrics_registry.h"
+#include "obs/ring_tracer.h"
 #include "obs/trace.h"
 #include "pqo/async_scr.h"
 #include "pqo/cache_persistence.h"
@@ -97,7 +98,7 @@ class ChaosServingTest : public ::testing::Test {
 
 TEST_F(ChaosServingTest, OptimizerFailureFallsBackToCachedPlanNoGuarantee) {
   Scr scr(ScrOptions{.lambda = 1.5});
-  Tracer tracer(1 << 14);
+  RingTracer tracer(1 << 14);
   MetricsRegistry registry;
   scr.SetObs(ObsHooks{&tracer, &registry});
   EngineContext engine(&db_, &optimizer_);
@@ -162,7 +163,7 @@ TEST_F(ChaosServingTest, EmptyCacheOptimizerFailureRetriesWithBackoff) {
 
 TEST_F(ChaosServingTest, EmptyCacheWithAllRetriesFailingServesNothing) {
   Scr scr(ScrOptions{.lambda = 1.5});
-  Tracer tracer(1 << 10);
+  RingTracer tracer(1 << 10);
   scr.SetObs(ObsHooks{&tracer, nullptr});
   EngineContext engine(&db_, &optimizer_);
 
@@ -200,7 +201,7 @@ TEST_F(ChaosServingTest, NonFiniteRecostQuarantinesInsteadOfBadReuse) {
 
   // Attach the tracer only now: warm-phase cost-check hits are legitimate
   // and would otherwise be counted against the NaN-era assertion below.
-  Tracer tracer(1 << 14);
+  RingTracer tracer(1 << 14);
   scr.SetObs(ObsHooks{&tracer, nullptr});
 
   FaultSpec spec;
@@ -229,7 +230,7 @@ TEST_F(ChaosServingTest, PerturbedRecostsStayAuditConsistent) {
   // conservative, not inconsistent: every recorded decision still audits
   // clean because the technique used the same (wrong) R it recorded.
   Scr scr(ScrOptions{.lambda = 1.5});
-  Tracer tracer(1 << 14);
+  RingTracer tracer(1 << 14);
   scr.SetObs(ObsHooks{&tracer, nullptr});
   EngineContext engine(&db_, &optimizer_);
 
@@ -253,7 +254,7 @@ TEST_F(ChaosServingTest, PerturbedRecostsStayAuditConsistent) {
 
 TEST_F(ChaosServingTest, AsyncTaskDropsKeepServingWithoutCacheGrowth) {
   AsyncScr async(ScrOptions{.lambda = 1.5});
-  Tracer tracer(1 << 14);
+  RingTracer tracer(1 << 14);
   MetricsRegistry registry;
   async.SetObs(ObsHooks{&tracer, &registry});
   EngineContext engine(&db_, &optimizer_);
@@ -290,7 +291,7 @@ TEST_F(ChaosServingTest, AsyncTaskDropsKeepServingWithoutCacheGrowth) {
 
 TEST_F(ChaosServingTest, ColdPathAllocFailureServesPlanUncached) {
   Scr scr(ScrOptions{.lambda = 1.5});
-  Tracer tracer(1 << 12);
+  RingTracer tracer(1 << 12);
   scr.SetObs(ObsHooks{&tracer, nullptr});
   EngineContext engine(&db_, &optimizer_);
 
@@ -320,7 +321,7 @@ TEST_F(ChaosServingTest, ColdPathAllocFailureServesPlanUncached) {
 
 TEST_F(ChaosServingTest, OptimizeDeadlineOverrunDegrades) {
   Scr scr(ScrOptions{.lambda = 1.5});
-  Tracer tracer(1 << 14);
+  RingTracer tracer(1 << 14);
   scr.SetObs(ObsHooks{&tracer, nullptr});
   EngineContext engine(&db_, &optimizer_);
   Warm(&scr, &engine);
@@ -427,7 +428,8 @@ TEST_F(ChaosServingTest, AnySingleFaultPointAtTenPercentAuditsClean) {
     opts.warmup_instances = 2;
     opts.num_shards = 2;
     PqoManager mgr(opts);
-    Tracer tracer(1 << 15);
+    RingTracer tracer(RingTracer::Options{.ring_capacity = 1 << 12,
+                                           .window_capacity = 1 << 15});
     MetricsRegistry registry;
     mgr.SetObs(ObsHooks{&tracer, &registry});
 
@@ -457,7 +459,8 @@ TEST_F(ChaosServingTest, RandomizedFaultMixConvergesAfterDisarm) {
   opts.warmup_instances = 2;
   opts.num_shards = 2;
   PqoManager mgr(opts);
-  Tracer tracer(1 << 15);
+  RingTracer tracer(RingTracer::Options{.ring_capacity = 1 << 12,
+                                         .window_capacity = 1 << 15});
   MetricsRegistry registry;
   mgr.SetObs(ObsHooks{&tracer, &registry});
 

@@ -56,15 +56,18 @@ static_assert(noexcept(RecostStepOp(std::declval<const RecostProgram::Op&>(),
 // ---------------------------------------------------------------------------
 
 static_assert(noexcept(std::declval<SpscEventRing&>().TryPush(
-                  std::declval<DecisionEvent>())),
+                  std::declval<const DecisionEvent&>())),
               "SpscEventRing::TryPush must stay noexcept: it sits on the "
               "getPlan emit path and must never unwind mid-slot");
 
-// TryPush's noexcept is only honest if moving a DecisionEvent into a slot
-// cannot throw; pin that prerequisite too.
-static_assert(std::is_nothrow_move_assignable_v<DecisionEvent>,
-              "DecisionEvent must stay nothrow-move-assignable — "
-              "TryPush's noexcept depends on the slot move");
+// TryPush's noexcept is only honest if copying a DecisionEvent into a slot
+// cannot throw, and the emit path is only allocation-free if the copy is a
+// fixed-size memberwise copy; pin both prerequisites.
+static_assert(std::is_trivially_copyable_v<DecisionEvent>,
+              "DecisionEvent must stay trivially copyable — TryPush's "
+              "noexcept and the no-allocation emit path depend on it");
+static_assert(sizeof(DecisionEvent) <= 128,
+              "DecisionEvent must fit in two cache lines");
 
 // ---------------------------------------------------------------------------
 // G/L kernel.
@@ -82,14 +85,14 @@ static_assert(noexcept(ComputeGlFast(std::declval<const std::vector<double>&>(),
 TEST(EffectsContracts, TryPushRoundTripsEvent) {
   SpscEventRing ring(8);
   DecisionEvent ev;
-  ev.technique = "reuse";
+  ev.technique = NameId::Intern("reuse");
   ev.instance_id = 42;
-  ASSERT_TRUE(ring.TryPush(std::move(ev)));
+  ASSERT_TRUE(ring.TryPush(ev));
   std::vector<DecisionEvent> out;
   ASSERT_EQ(ring.DrainInto(&out), 1u);
   ASSERT_EQ(out.size(), 1u);
   EXPECT_EQ(out[0].instance_id, 42);
-  EXPECT_EQ(out[0].technique, "reuse");
+  EXPECT_EQ(out[0].technique.str(), "reuse");
 }
 
 TEST(EffectsContracts, ComputeGlFastIdentityIsUnit) {

@@ -9,6 +9,8 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "obs/ring_tracer.h"
+#include "obs/sink.h"
 #include "obs/trace.h"
 #include "pqo/scr.h"
 #include "query/query_instance.h"
@@ -37,7 +39,7 @@ class GuaranteeAuditTest : public ::testing::Test {
   /// returns the tracer's events. The caller keeps `scr` for cache
   /// snapshots.
   std::vector<DecisionEvent> RunScr(Scr* scr, int m) {
-    Tracer tracer(1 << 14);
+    RingTracer tracer(1 << 14);
     ObsHooks hooks;
     hooks.tracer = &tracer;
     scr->SetObs(hooks);
@@ -130,7 +132,7 @@ TEST_F(GuaranteeAuditTest, SpillyCostModelTraceStillAuditsClean) {
   opts.lambda = 1.2;
   opts.detect_violations = true;
   Scr scr(opts);
-  Tracer tracer(1 << 14);
+  RingTracer tracer(1 << 14);
   ObsHooks hooks;
   hooks.tracer = &tracer;
   scr.SetObs(hooks);
@@ -150,7 +152,7 @@ DecisionEvent SelHit() {
   DecisionEvent e;
   e.seq = 7;
   e.instance_id = 3;
-  e.technique = "SCR2";
+  e.technique = NameId::Intern("SCR2");
   e.outcome = DecisionOutcome::kSelCheckHit;
   e.matched_entry = 0;
   e.g = 1.2;
@@ -185,7 +187,7 @@ TEST_F(GuaranteeAuditTest, FlagsPcmInferenceViolation) {
   // A cost-check event without L and S is a PCM-style inference: r <= lambda.
   DecisionEvent e;
   e.seq = 1;
-  e.technique = "PCM";
+  e.technique = NameId::Intern("PCM");
   e.outcome = DecisionOutcome::kCostCheckHit;
   e.matched_entry = 0;
   e.r = 2.5;
@@ -202,7 +204,7 @@ TEST_F(GuaranteeAuditTest, FlagsPcmInferenceViolation) {
 TEST_F(GuaranteeAuditTest, FlagsRedundancyThresholdViolation) {
   DecisionEvent e;
   e.seq = 2;
-  e.technique = "SCR2";
+  e.technique = NameId::Intern("SCR2");
   e.outcome = DecisionOutcome::kRedundantDiscard;
   e.matched_entry = 0;
   e.r = 1.9;  // Smin must be <= lambda_r = sqrt(2) ~ 1.414
@@ -303,9 +305,12 @@ TEST_F(GuaranteeAuditTest, TraceFileRoundTripAuditsClean) {
 
   std::string path =
       ::testing::TempDir() + "/guarantee_audit_trace.jsonl";
-  Tracer tracer(1 << 14);
-  for (DecisionEvent e : events) tracer.Record(std::move(e));
-  ASSERT_TRUE(tracer.WriteJsonlFile(path).ok());
+  {
+    RingTracer tracer(1 << 14);
+    tracer.AddSink(std::make_shared<JsonlFileSink>(path));
+    for (const DecisionEvent& e : events) tracer.Record(e);
+    ASSERT_TRUE(tracer.Flush().ok());
+  }
 
   Result<AuditReport> r = AuditTraceFile(path, ScrConfig(2.0));
   ASSERT_TRUE(r.ok()) << r.status().ToString();
@@ -339,7 +344,7 @@ TEST_F(GuaranteeAuditTest, PerTemplateRollupSeparatesTemplates) {
     e.seq = seq;
     e.instance_id = static_cast<int32_t>(seq);
     e.outcome = DecisionOutcome::kSelCheckHit;
-    e.template_key = key;
+    e.template_key = NameId::Intern(key);
     e.g = g;
     e.l = 1.1;
     e.subopt = 1.0;
@@ -387,12 +392,12 @@ TEST_F(GuaranteeAuditTest, PerTemplateLambdaExcludesRedundancyDecisions) {
   DecisionEvent opt;
   opt.seq = 0;
   opt.outcome = DecisionOutcome::kOptimized;
-  opt.template_key = "t1";
+  opt.template_key = NameId::Intern("t1");
   opt.lambda = 2.0;
   DecisionEvent red;
   red.seq = 1;
   red.outcome = DecisionOutcome::kRedundantDiscard;
-  red.template_key = "t1";
+  red.template_key = NameId::Intern("t1");
   red.r = 1.2;
   red.lambda = 1.4142135623730951;  // sqrt(2)
   AuditReport report = AuditTrace({opt, red}, AuditConfig{});

@@ -7,7 +7,9 @@
 
 #include "common/rng.h"
 #include "obs/metrics_registry.h"
+#include "obs/ring_tracer.h"
 #include "obs/scoped_timer.h"
+#include "obs/sink.h"
 #include "obs/trace.h"
 #include "pqo/async_scr.h"
 #include "pqo/pcm.h"
@@ -19,35 +21,54 @@
 namespace scrpqo {
 namespace {
 
-DecisionEvent MakeEvent(int instance_id, DecisionOutcome outcome) {
+DecisionEvent MakeEvent(int instance_id, DecisionOutcome outcome,
+                        int64_t seq = -1) {
   DecisionEvent e;
+  e.seq = seq;
   e.instance_id = instance_id;
-  e.technique = "SCR2";
+  e.technique = NameId::Intern("SCR2");
   e.outcome = outcome;
   return e;
 }
 
+// TracerTest: the capture pipeline's window and export behaviour. The
+// retained window (order, wrap, capacity clamp) is InMemorySink, which
+// backs RingTracer::Snapshot; file export and concurrent recording go
+// through the RingTracer itself.
+
 TEST(TracerTest, RecordsInOrderBelowCapacity) {
-  Tracer tracer(8);
+  InMemorySink window(8);
+  std::vector<DecisionEvent> batch;
   for (int i = 0; i < 5; ++i) {
-    tracer.Record(MakeEvent(i, DecisionOutcome::kOptimized));
+    batch.push_back(MakeEvent(i, DecisionOutcome::kOptimized, i));
   }
-  auto events = tracer.Snapshot();
+  window.Consume(batch);
+  auto events = window.Snapshot();
   ASSERT_EQ(events.size(), 5u);
   for (int i = 0; i < 5; ++i) {
     EXPECT_EQ(events[static_cast<size_t>(i)].seq, i);
     EXPECT_EQ(events[static_cast<size_t>(i)].instance_id, i);
   }
+  // The same through the tracer, which stamps seq itself.
+  RingTracer tracer(8);
+  for (int i = 0; i < 5; ++i) {
+    tracer.Record(MakeEvent(i, DecisionOutcome::kOptimized));
+  }
+  events = tracer.Snapshot();
+  ASSERT_EQ(events.size(), 5u);
+  for (int i = 0; i < 5; ++i) {
+    EXPECT_EQ(events[static_cast<size_t>(i)].seq, i);
+  }
   EXPECT_EQ(tracer.total_recorded(), 5);
 }
 
 TEST(TracerTest, RingWrapsKeepingNewestInOrder) {
-  Tracer tracer(4);
+  InMemorySink window(4);
   for (int i = 0; i < 10; ++i) {
-    tracer.Record(MakeEvent(i, DecisionOutcome::kSelCheckHit));
+    // One event per batch: the wrap must work across batches too.
+    window.Consume({MakeEvent(i, DecisionOutcome::kSelCheckHit, i)});
   }
-  EXPECT_EQ(tracer.total_recorded(), 10);
-  auto events = tracer.Snapshot();
+  auto events = window.Snapshot();
   ASSERT_EQ(events.size(), 4u);
   // Live window is the newest 4 events (seq 6..9), oldest first.
   for (int i = 0; i < 4; ++i) {
@@ -57,34 +78,45 @@ TEST(TracerTest, RingWrapsKeepingNewestInOrder) {
 }
 
 TEST(TracerTest, WrapBoundaryExactCapacity) {
-  Tracer tracer(4);
+  InMemorySink window(4);
+  std::vector<DecisionEvent> batch;
   for (int i = 0; i < 4; ++i) {
-    tracer.Record(MakeEvent(i, DecisionOutcome::kOptimized));
+    batch.push_back(MakeEvent(i, DecisionOutcome::kOptimized, i));
   }
-  auto events = tracer.Snapshot();
+  window.Consume(batch);
+  auto events = window.Snapshot();
   ASSERT_EQ(events.size(), 4u);
   EXPECT_EQ(events.front().seq, 0);
   EXPECT_EQ(events.back().seq, 3);
   // One more pushes out exactly the oldest.
-  tracer.Record(MakeEvent(4, DecisionOutcome::kOptimized));
-  events = tracer.Snapshot();
+  window.Consume({MakeEvent(4, DecisionOutcome::kOptimized, 4)});
+  events = window.Snapshot();
   ASSERT_EQ(events.size(), 4u);
   EXPECT_EQ(events.front().seq, 1);
   EXPECT_EQ(events.back().seq, 4);
 }
 
 TEST(TracerTest, ZeroCapacityIsClampedToOne) {
-  Tracer tracer(0);
-  EXPECT_EQ(tracer.capacity(), 1u);
+  InMemorySink window(0);
+  EXPECT_EQ(window.capacity(), 1u);
+  window.Consume({MakeEvent(1, DecisionOutcome::kOptimized, 0),
+                  MakeEvent(2, DecisionOutcome::kOptimized, 1)});
+  auto events = window.Snapshot();
+  ASSERT_EQ(events.size(), 1u);
+  EXPECT_EQ(events[0].instance_id, 2);
+  // A tracer asked for a zero window keeps the newest event.
+  RingTracer::Options opts;
+  opts.window_capacity = 0;
+  RingTracer tracer(opts);
   tracer.Record(MakeEvent(1, DecisionOutcome::kOptimized));
   tracer.Record(MakeEvent(2, DecisionOutcome::kOptimized));
-  auto events = tracer.Snapshot();
+  events = tracer.Snapshot();
   ASSERT_EQ(events.size(), 1u);
   EXPECT_EQ(events[0].instance_id, 2);
 }
 
 TEST(TracerTest, ConcurrentRecordsAllLand) {
-  Tracer tracer(1 << 16);
+  RingTracer tracer(1 << 16);
   constexpr int kPerThread = 5000;
   auto writer = [&tracer](int base) {
     for (int i = 0; i < kPerThread; ++i) {
@@ -95,20 +127,25 @@ TEST(TracerTest, ConcurrentRecordsAllLand) {
   std::thread b(writer, kPerThread);
   a.join();
   b.join();
-  EXPECT_EQ(tracer.total_recorded(), 2 * kPerThread);
   auto events = tracer.Snapshot();
+  EXPECT_EQ(tracer.dropped(), 0);
+  EXPECT_EQ(tracer.total_recorded(), 2 * kPerThread);
   ASSERT_EQ(events.size(), static_cast<size_t>(2 * kPerThread));
-  // seq must be a permutation-free 0..N-1 in order.
+  // seq must be a permutation-free 0..N-1 in order, and every event must
+  // land exactly once.
+  std::vector<int> seen(2 * kPerThread, 0);
   for (size_t i = 0; i < events.size(); ++i) {
     EXPECT_EQ(events[i].seq, static_cast<int64_t>(i));
+    ++seen[static_cast<size_t>(events[i].instance_id)];
   }
+  for (int n : seen) EXPECT_EQ(n, 1);
 }
 
 TEST(DecisionEventJsonlTest, RoundTripsAllFields) {
   DecisionEvent e;
   e.seq = 42;
   e.instance_id = 7;
-  e.technique = "SCR2(k=10)\"quoted\\name";
+  e.technique = NameId::Intern("SCR2(k=10)\"quoted\\name");
   e.outcome = DecisionOutcome::kCostCheckHit;
   e.matched_entry = 3;
   e.g = 1.5;
@@ -118,7 +155,7 @@ TEST(DecisionEventJsonlTest, RoundTripsAllFields) {
   e.lambda = 2.0;
   e.candidates_scanned = 8;
   e.recost_calls = 5;
-  e.wall_micros = 12345;
+  e.wall_ns = 12345000;
 
   std::string line = DecisionEventToJsonl(e);
   auto parsed = DecisionEventFromJsonl(line);
@@ -136,13 +173,13 @@ TEST(DecisionEventJsonlTest, RoundTripsAllFields) {
   EXPECT_DOUBLE_EQ(p.lambda, e.lambda);
   EXPECT_EQ(p.candidates_scanned, e.candidates_scanned);
   EXPECT_EQ(p.recost_calls, e.recost_calls);
-  EXPECT_EQ(p.wall_micros, e.wall_micros);
+  EXPECT_EQ(p.wall_ns, e.wall_ns);
 }
 
 TEST(DecisionEventJsonlTest, TemplateFieldRoundTripsWhenPresent) {
   DecisionEvent e;
   e.outcome = DecisionOutcome::kSelCheckHit;
-  e.template_key = "rd2_t3_d2 \"quoted\"";
+  e.template_key = NameId::Intern("rd2_t3_d2 \"quoted\"");
   std::string line = DecisionEventToJsonl(e);
   EXPECT_NE(line.find("\"template\":"), std::string::npos);
   auto parsed = DecisionEventFromJsonl(line);
@@ -216,23 +253,28 @@ TEST(DecisionEventJsonlTest, OutcomeNamesRoundTrip) {
 }
 
 TEST(TracerTest, JsonlFileRoundTrip) {
-  Tracer tracer(16);
-  for (int i = 0; i < 6; ++i) {
-    DecisionEvent e = MakeEvent(i, i % 2 == 0
-                                       ? DecisionOutcome::kSelCheckHit
-                                       : DecisionOutcome::kOptimized);
-    e.wall_micros = 10 * i;
-    tracer.Record(std::move(e));
-  }
   std::string path = ::testing::TempDir() + "/obs_trace_roundtrip.jsonl";
-  ASSERT_TRUE(tracer.WriteJsonlFile(path).ok());
+  {
+    RingTracer tracer(16);
+    tracer.AddSink(std::make_shared<JsonlFileSink>(path));
+    for (int i = 0; i < 6; ++i) {
+      DecisionEvent e = MakeEvent(i, i % 2 == 0
+                                         ? DecisionOutcome::kSelCheckHit
+                                         : DecisionOutcome::kOptimized);
+      e.wall_ns = 10000 * i;
+      tracer.Record(e);
+    }
+    ASSERT_TRUE(tracer.Flush().ok());
+  }
   auto loaded = ReadJsonlTraceFile(path);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   const auto& events = loaded.ValueOrDie();
   ASSERT_EQ(events.size(), 6u);
   for (int i = 0; i < 6; ++i) {
+    EXPECT_EQ(events[static_cast<size_t>(i)].seq, i);
     EXPECT_EQ(events[static_cast<size_t>(i)].instance_id, i);
-    EXPECT_EQ(events[static_cast<size_t>(i)].wall_micros, 10 * i);
+    EXPECT_EQ(events[static_cast<size_t>(i)].technique.str(), "SCR2");
+    EXPECT_EQ(events[static_cast<size_t>(i)].wall_ns, 10000 * i);
   }
   std::remove(path.c_str());
 }
@@ -414,7 +456,7 @@ class ObsIntegrationTest : public ::testing::Test {
     oracle_ = Oracle::Build(optimizer_, instances_);
   }
 
-  SequenceMetrics Run(PqoTechnique* technique, Tracer* tracer,
+  SequenceMetrics Run(PqoTechnique* technique, RingTracer* tracer,
                       MetricsRegistry* metrics) {
     RunSequenceOptions opts;
     opts.lambda_for_violations = 2.0;
@@ -434,7 +476,7 @@ class ObsIntegrationTest : public ::testing::Test {
 };
 
 TEST_F(ObsIntegrationTest, ScrEmitsOneDecisionPerInstance) {
-  Tracer tracer(1 << 12);
+  RingTracer tracer(1 << 12);
   MetricsRegistry registry;
   Scr scr(ScrOptions{});
   SequenceMetrics m = Run(&scr, &tracer, &registry);
@@ -444,7 +486,7 @@ TEST_F(ObsIntegrationTest, ScrEmitsOneDecisionPerInstance) {
   int64_t optimizer_events = 0;
   for (const DecisionEvent& e : events) {
     EXPECT_GE(e.instance_id, 0);
-    EXPECT_EQ(e.technique, scr.name());
+    EXPECT_EQ(e.technique.str(), scr.name());
     if (IsDecisionOutcome(e.outcome)) {
       ++decisions;
       if (e.outcome == DecisionOutcome::kOptimized ||
@@ -479,7 +521,7 @@ TEST_F(ObsIntegrationTest, ScrEmitsOneDecisionPerInstance) {
 }
 
 TEST_F(ObsIntegrationTest, ScrCheckHitEventsCarryGlr) {
-  Tracer tracer(1 << 12);
+  RingTracer tracer(1 << 12);
   Scr scr(ScrOptions{});
   Run(&scr, &tracer, nullptr);
   int sel_hits = 0;
@@ -501,7 +543,7 @@ TEST_F(ObsIntegrationTest, ScrCheckHitEventsCarryGlr) {
 }
 
 TEST_F(ObsIntegrationTest, ScrEvictionEventsUnderPlanBudget) {
-  Tracer tracer(1 << 12);
+  RingTracer tracer(1 << 12);
   MetricsRegistry registry;
   Scr scr(ScrOptions{.lambda = 1.05, .lambda_r = 1.0, .plan_budget = 1});
   SequenceMetrics m = Run(&scr, &tracer, &registry);
@@ -521,7 +563,7 @@ TEST_F(ObsIntegrationTest, ScrEvictionEventsUnderPlanBudget) {
 }
 
 TEST_F(ObsIntegrationTest, AsyncScrTraceCompleteAfterRun) {
-  Tracer tracer(1 << 12);
+  RingTracer tracer(1 << 12);
   MetricsRegistry registry;
   {
     AsyncScr async(ScrOptions{});
@@ -538,13 +580,13 @@ TEST_F(ObsIntegrationTest, AsyncScrTraceCompleteAfterRun) {
 }
 
 TEST_F(ObsIntegrationTest, PcmReportsRecostAndEvents) {
-  Tracer tracer(1 << 12);
+  RingTracer tracer(1 << 12);
   MetricsRegistry registry;
   Pcm pcm(PcmOptions{.lambda = 2.0, .recost_redundancy_lambda_r = 1.4});
   SequenceMetrics m = Run(&pcm, &tracer, &registry);
   int64_t decisions = 0;
   for (const DecisionEvent& e : tracer.Snapshot()) {
-    EXPECT_EQ(e.technique, pcm.name());
+    EXPECT_EQ(e.technique.str(), pcm.name());
     if (IsDecisionOutcome(e.outcome)) ++decisions;
   }
   EXPECT_EQ(decisions, m.m);

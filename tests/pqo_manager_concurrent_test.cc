@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "obs/metrics_registry.h"
+#include "obs/ring_tracer.h"
 #include "obs/trace.h"
 #include "verify/guarantee_audit.h"
 #include "workload/multi_template.h"
@@ -36,7 +37,8 @@ TEST(PqoManagerConcurrentTest, StressNoLostInstancesAndBudgetHolds) {
   opts.global_plan_budget = kBudget;
   opts.num_shards = 4;
   PqoManager mgr(opts);
-  Tracer tracer(1 << 15);
+  RingTracer tracer(RingTracer::Options{.ring_capacity = 1 << 12,
+                                         .window_capacity = 1 << 15});
   MetricsRegistry registry;
   mgr.SetObs(ObsHooks{&tracer, &registry});
 
@@ -89,7 +91,8 @@ TEST(PqoManagerConcurrentTest, InvalidationChaosKeepsServing) {
   opts.global_plan_budget = 12;
   opts.num_shards = 4;
   PqoManager mgr(opts);
-  Tracer tracer(1 << 14);
+  RingTracer tracer(RingTracer::Options{.ring_capacity = 1 << 12,
+                                         .window_capacity = 1 << 14});
   MetricsRegistry registry;
   mgr.SetObs(ObsHooks{&tracer, &registry});
 
@@ -156,7 +159,8 @@ TEST(PqoManagerConcurrentTest, WarmupOptimizeRunsOutsideTemplateLock) {
   PqoManagerOptions opts;
   opts.warmup_instances = 4;
   PqoManager mgr(opts);
-  Tracer tracer(1 << 13);
+  RingTracer tracer(RingTracer::Options{.ring_capacity = 1 << 12,
+                                         .window_capacity = 1 << 13});
   MetricsRegistry registry;
   mgr.SetObs(ObsHooks{&tracer, &registry});
 

@@ -5,6 +5,7 @@
 #include <memory>
 
 #include "common/rng.h"
+#include "obs/ring_tracer.h"
 #include "pqo/pqo_manager.h"
 #include "query/query_instance.h"
 #include "tests/test_util.h"
@@ -150,7 +151,7 @@ TEST_F(PqoManagerTest, WarmupWithNoObservedCostFallsBackToDefault) {
   opts.warmup_instances = 3;
   opts.default_lambda = 1.7;
   PqoManager mgr(opts);
-  Tracer tracer(64);
+  RingTracer tracer(64);
   MetricsRegistry registry;
   mgr.SetObs(ObsHooks{&tracer, &registry});
   EngineContext engine(&db_, &optimizer_);
@@ -175,8 +176,8 @@ TEST_F(PqoManagerTest, WarmupWithNoObservedCostFallsBackToDefault) {
   // The fallback is traced with the template it happened on.
   bool traced = false;
   for (const DecisionEvent& e : tracer.Snapshot()) {
-    if (e.template_key == "join" &&
-        e.technique.find("warmup-fallback") != std::string::npos) {
+    if (e.template_key.str() == "join" &&
+        e.technique.str().find("warmup-fallback") != std::string::npos) {
       traced = true;
     }
   }
@@ -193,7 +194,7 @@ TEST_F(PqoManagerTest, GlobalBudgetEnforcedAcrossTemplates) {
   PqoManagerOptions opts;
   opts.global_plan_budget = 3;
   PqoManager mgr(opts);
-  Tracer tracer(1 << 12);
+  RingTracer tracer(1 << 12);
   MetricsRegistry registry;
   mgr.SetObs(ObsHooks{&tracer, &registry});
   EngineContext engine(&db_, &optimizer_);

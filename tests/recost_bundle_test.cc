@@ -22,9 +22,13 @@
 #include "common/rng.h"
 #include "common/scratch_arena.h"
 #include "common/thread_annotations.h"
+#include "obs/metrics_registry.h"
+#include "obs/ring_tracer.h"
+#include "obs/span.h"
 #include "optimizer/optimizer.h"
 #include "optimizer/recost.h"
 #include "optimizer/recost_bundle.h"
+#include "pqo/pqo_manager.h"
 #include "pqo/scr.h"
 #include "tests/test_util.h"
 #include "workload/instance_gen.h"
@@ -34,14 +38,18 @@
 // ---------------------------------------------------------------------------
 // Global operator-new counter. Replacing the global allocator in one TU
 // covers the whole test binary; the override only counts and forwards, so
-// every other test is unaffected. The zero-allocation test reads the
-// counter around its measured window.
+// every other test is unaffected. The zero-allocation tests read the
+// counters around their measured windows: the process-wide one, or the
+// calling thread's own where background threads (the trace exporter,
+// AsyncScr workers) run alongside the serving thread.
 // ---------------------------------------------------------------------------
 
 static std::atomic<int64_t> g_heap_allocs{0};
+static thread_local int64_t t_heap_allocs = 0;
 
 static void* CountedAlloc(std::size_t n) {
   g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
+  ++t_heap_allocs;
   if (n == 0) n = 1;
   void* p = std::malloc(n);
   if (p == nullptr) throw std::bad_alloc();
@@ -52,6 +60,7 @@ void* operator new(std::size_t n) { return CountedAlloc(n); }
 void* operator new[](std::size_t n) { return CountedAlloc(n); }
 void* operator new(std::size_t n, const std::nothrow_t&) noexcept {
   g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
+  ++t_heap_allocs;
   return std::malloc(n == 0 ? 1 : n);
 }
 void operator delete(void* p) noexcept { std::free(p); }
@@ -403,41 +412,58 @@ TEST(ComputeGlFastTest, MatchesScalarComputeGl) {
 // across a window of reuse hits.
 // ---------------------------------------------------------------------------
 
-TEST(ScrZeroAllocTest, WarmedReusePathAllocatesNothing) {
+/// The zero-allocation workload: a join template over a small database,
+/// warm-up traffic that populates the cache, and probes that resolve on
+/// the reuse path.
+struct ReuseWorkload {
   Database db = testing::MakeSmallDatabase(20000, 500);
-  auto tmpl = testing::MakeJoinTemplate();
-  Optimizer optimizer(&db);
-  EngineContext engine(&db, &optimizer);
-  ScrOptions opts;
-  opts.lambda = 3.0;
-  opts.use_spatial_index = true;
-  Scr scr(opts);
+  std::shared_ptr<QueryTemplate> tmpl = testing::MakeJoinTemplate();
+  Optimizer optimizer{&db};
 
-  auto make_wi = [&](int id, double s0, double s1) {
+  WorkloadInstance Make(int id, double s0, double s1) const {
     WorkloadInstance wi;
     wi.id = id;
     wi.instance = InstanceForSelectivities(db, *tmpl, {s0, s1});
     wi.svector = ComputeSelectivityVector(db, wi.instance);
     return wi;
-  };
+  }
+
+  std::vector<WorkloadInstance> Warm() const {
+    std::vector<WorkloadInstance> out;
+    Pcg32 rng(9);
+    for (int i = 0; i < 60; ++i) {
+      out.push_back(Make(i, rng.UniformDouble(0.01, 0.95),
+                         rng.UniformDouble(0.01, 0.95)));
+    }
+    return out;
+  }
+
+  std::vector<WorkloadInstance> Probes() const {
+    std::vector<WorkloadInstance> out;
+    Pcg32 rng(21);
+    for (int i = 0; i < 16; ++i) {
+      out.push_back(Make(1000 + i, rng.UniformDouble(0.05, 0.9),
+                         rng.UniformDouble(0.05, 0.9)));
+    }
+    return out;
+  }
+};
+
+TEST(ScrZeroAllocTest, WarmedReusePathAllocatesNothing) {
+  ReuseWorkload w;
+  EngineContext engine(&w.db, &w.optimizer);
+  ScrOptions opts;
+  opts.lambda = 3.0;
+  opts.use_spatial_index = true;
+  Scr scr(opts);
 
   // Warm-up traffic: populate the cache, the kd-tree, and the bundle.
-  Pcg32 rng(9);
-  for (int i = 0; i < 60; ++i) {
-    scr.OnInstance(make_wi(i, rng.UniformDouble(0.01, 0.95),
-                           rng.UniformDouble(0.01, 0.95)),
-                   &engine);
-  }
+  for (const WorkloadInstance& wi : w.Warm()) scr.OnInstance(wi, &engine);
 
   // Probes that resolve on the reuse path (hit or miss both stay inside
   // TryReuse — no optimizer call happens there). One priming pass grows
   // the arena to this workload's high-water mark.
-  std::vector<WorkloadInstance> probes;
-  Pcg32 prng(21);
-  for (int i = 0; i < 16; ++i) {
-    probes.push_back(make_wi(1000 + i, prng.UniformDouble(0.05, 0.9),
-                             prng.UniformDouble(0.05, 0.9)));
-  }
+  const std::vector<WorkloadInstance> probes = w.Probes();
   int hits = 0;
   for (const auto& wi : probes) {
     PlanChoice choice;
@@ -460,6 +486,132 @@ TEST(ScrZeroAllocTest, WarmedReusePathAllocatesNothing) {
       << "warmed reuse path grew the scratch arena";
   EXPECT_EQ(allocs_after, allocs_before)
       << "warmed reuse path hit the heap";
+}
+
+TEST(ScrZeroAllocTest, TracedReusePathAllocatesNothing) {
+  // Production observability attached: every hit emits a DecisionEvent
+  // and updates counters and histograms. The serving thread's share is a
+  // fixed-size copy into its own ring, so warmed hits still allocate
+  // nothing on the calling thread (the exporter drains on its own).
+  ReuseWorkload w;
+  EngineContext engine(&w.db, &w.optimizer);
+  RingTracer tracer;
+  MetricsRegistry registry;
+  engine.SetObs(&registry);
+  ScrOptions opts;
+  opts.lambda = 3.0;
+  opts.use_spatial_index = true;
+  Scr scr(opts);
+  scr.SetObs(ObsHooks{&tracer, &registry});
+  for (const WorkloadInstance& wi : w.Warm()) scr.OnInstance(wi, &engine);
+
+  // Priming pass: registers this thread's ring and grows the arena.
+  std::vector<WorkloadInstance> hits;
+  for (const WorkloadInstance& wi : w.Probes()) {
+    PlanChoice choice;
+    if (scr.TryReuse(wi, &engine, &choice)) hits.push_back(wi);
+  }
+  ASSERT_FALSE(hits.empty()) << "warm-up produced no reusable coverage";
+  ASSERT_TRUE(tracer.Flush().ok());
+  const int64_t traced_before = tracer.total_recorded() + tracer.dropped();
+
+  const int64_t allocs_before = t_heap_allocs;
+  for (int rep = 0; rep < 20; ++rep) {
+    for (const WorkloadInstance& wi : hits) {
+      PlanChoice choice;
+      EXPECT_TRUE(scr.TryReuse(wi, &engine, &choice));
+    }
+  }
+  EXPECT_EQ(t_heap_allocs, allocs_before)
+      << "traced reuse path hit the heap on the serving thread";
+  ASSERT_TRUE(tracer.Flush().ok());
+  EXPECT_EQ(tracer.total_recorded() + tracer.dropped() - traced_before,
+            static_cast<int64_t>(20 * hits.size()))
+      << "every measured hit is traced";
+}
+
+/// A PqoManager over AsyncScr with production observability, warmed on
+/// the workload, plus the probes that it serves as hits.
+struct RoutedTracedServing {
+  explicit RoutedTracedServing(const ReuseWorkload& w)
+      : engine(&w.db, &w.optimizer), manager(Options()) {
+    engine.SetObs(&registry);
+    manager.SetObs(ObsHooks{&tracer, &registry});
+    for (const WorkloadInstance& wi : w.Warm()) {
+      manager.OnInstance(key, wi, &engine);
+      manager.FlushAll();
+    }
+    // Two passes: misses of the first feed the cache; the second keeps
+    // the probes that now hit and warms this thread's ring and arena.
+    for (int pass = 0; pass < 2; ++pass) {
+      hits.clear();
+      for (const WorkloadInstance& wi : w.Probes()) {
+        PlanChoice c = manager.OnInstance(key, wi, &engine);
+        if (!c.optimized && !c.degraded) hits.push_back(wi);
+      }
+      manager.FlushAll();
+    }
+  }
+
+  static PqoManagerOptions Options() {
+    PqoManagerOptions opts;
+    opts.use_async = true;
+    opts.default_lambda = 2.0;
+    opts.num_shards = 2;
+    return opts;
+  }
+
+  const std::string key = "join";
+  RingTracer tracer;
+  MetricsRegistry registry;
+  EngineContext engine;
+  PqoManager manager;
+  std::vector<WorkloadInstance> hits;
+};
+
+TEST(ScrZeroAllocTest, TracedRoutedPathAllocatesNothing) {
+  // The routed product decision — template lookup, AsyncScr's shared
+  // lock, the checks and the emit — with a tracer and metrics attached.
+  ReuseWorkload w;
+  RoutedTracedServing serving(w);
+  ASSERT_FALSE(serving.hits.empty());
+  const int64_t allocs_before = t_heap_allocs;
+  for (int rep = 0; rep < 20; ++rep) {
+    for (const WorkloadInstance& wi : serving.hits) {
+      PlanChoice c = serving.manager.OnInstance(serving.key, wi,
+                                                &serving.engine);
+      EXPECT_FALSE(c.optimized);
+    }
+  }
+  EXPECT_EQ(t_heap_allocs, allocs_before)
+      << "traced routed hits hit the heap on the serving thread";
+}
+
+TEST(TracedDecisionClockTest, RoutedHitsReuseStageStamps) {
+  // Tracing reads the clock only in the stage timers: the attempt's
+  // start, the event's wall time and scr.get_plan_micros reuse their
+  // stamps. A routed sel-check hit reads it 4 times (shard wait and
+  // sel_check, start and stop), a cost-check hit 6 (plus batch_recost).
+  ReuseWorkload w;
+  RoutedTracedServing serving(w);
+  int sel_hits = 0;
+  int cost_hits = 0;
+  for (const WorkloadInstance& wi : serving.hits) {
+    const uint64_t before = ObsClock::Reads();
+    PlanChoice c = serving.manager.OnInstance(serving.key, wi,
+                                              &serving.engine);
+    const uint64_t reads = ObsClock::Reads() - before;
+    ASSERT_FALSE(c.optimized);
+    if (c.recost_calls_in_get_plan == 0) {
+      ++sel_hits;
+      EXPECT_LE(reads, 4u) << "sel-check hit, instance " << wi.id;
+    } else {
+      ++cost_hits;
+      EXPECT_LE(reads, 6u) << "cost-check hit, instance " << wi.id;
+    }
+  }
+  EXPECT_GT(sel_hits, 0);
+  EXPECT_GT(cost_hits, 0);
 }
 
 // ---------------------------------------------------------------------------
@@ -520,6 +672,10 @@ TEST(RecostBundleConcurrencyTest, RebuildRacesReaders) {
   };
 
   std::thread r1(reader, 101), r2(reader, 202);
+  // Start the writer only once a reader is in flight: on a loaded host the
+  // 300 cycles can otherwise finish before either reader is scheduled,
+  // and the race under test never happens.
+  while (reads.load(std::memory_order_relaxed) == 0) std::this_thread::yield();
   // Writer: evict/re-admit cycles that repeatedly trip the tombstone
   // compaction (a full dense rebuild) while the readers are in flight.
   for (int cycle = 0; cycle < 300; ++cycle) {

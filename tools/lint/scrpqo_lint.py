@@ -19,7 +19,7 @@ Five rules, each encoding an invariant the thread-safety annotations
                            lock held across an optimizer call serializes
                            every concurrent request on that template.
 
-  tracer-record-outside-obs  Tracer::Record is called directly only inside
+  tracer-record-outside-obs  RingTracer::Record is called directly only inside
                            src/obs/ (the capture layer itself). Everyone
                            else goes through EmitDecisionEvent (obs/emit.h)
                            so capture policy has exactly one funnel.
@@ -386,7 +386,7 @@ def check_tracer_record(src: SourceFile) -> list[Finding]:
                     "tracer-record-outside-obs",
                     src.rel,
                     idx + 1,
-                    f"direct Tracer::Record via `{m.group(1)}` outside "
+                    f"direct RingTracer::Record via `{m.group(1)}` outside "
                     "src/obs/ — route through EmitDecisionEvent "
                     "(obs/emit.h)",
                 )

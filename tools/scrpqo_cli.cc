@@ -68,10 +68,6 @@ struct CliOptions {
   std::string trace_events;  // write per-decision JSONL events here
   std::string metrics_json;  // write the metrics-registry snapshot here
   bool audit = false;  // re-derive every traced decision after the run
-  /// Capture backend for --trace-events/--audit: per-thread SPSC rings
-  /// drained by an exporter ("ring", the default) or the legacy mutexed
-  /// ring ("mutex").
-  std::string tracer_kind = "ring";
   /// Streaming lambda-compliance monitor on the exporter stream.
   bool online_audit = false;
   /// Fault-injection schedule (FaultRegistry::ConfigureFromString syntax);
@@ -98,7 +94,7 @@ int Usage() {
       "                  [--save-trace F] [--replay-trace F]\n"
       "                  [--save-cache F] [--load-cache F]\n"
       "                  [--trace-events F] [--metrics-json F]\n"
-      "                  [--tracer ring|mutex] [--online-audit]\n"
+      "                  [--online-audit]\n"
       "                  [--faults SPEC] [--fault-seed S]\n"
       "                  [--admin-port P] [--admin-linger-ms MS]\n"
       "                  [--explain] [--trace] [--audit]\n");
@@ -179,10 +175,6 @@ bool ParseArgs(int argc, char** argv, CliOptions* opts) {
       opts->metrics_json = v;
     } else if (arg == "--audit") {
       opts->audit = true;
-    } else if (arg == "--tracer") {
-      const char* v = next();
-      if (!v) return false;
-      opts->tracer_kind = v;
     } else if (arg == "--online-audit") {
       opts->online_audit = true;
     } else if (arg == "--faults") {
@@ -424,30 +416,24 @@ int main(int argc, char** argv) {
   RunSequenceOptions ropts;
   ropts.lambda_for_violations = opts.lambda;
   ropts.ordering_name = opts.ordering;
-  std::unique_ptr<Tracer> tracer;
-  RingTracer* ring_tracer = nullptr;
+  std::unique_ptr<RingTracer> tracer;
   std::unique_ptr<MetricsRegistry> registry;
   const bool want_tracer =
       !opts.trace_events.empty() || opts.audit || opts.online_audit;
   if (want_tracer) {
-    // Size the retained window generously so a full run (decisions +
-    // cache events) never wraps; the audit must see every decision.
-    const size_t cap = static_cast<size_t>(std::max(1024, 4 * opts.m));
-    if (opts.tracer_kind == "mutex") {
-      tracer = std::make_unique<Tracer>(cap);
-    } else if (opts.tracer_kind == "ring") {
-      RingTracer::Options ring_opts;
-      // Single-threaded CLI run: make the per-thread ring as large as
-      // the window so the exporter can never lose a burst to drops.
-      ring_opts.ring_capacity = cap;
-      ring_opts.window_capacity = cap;
-      auto rt = std::make_unique<RingTracer>(ring_opts);
-      ring_tracer = rt.get();
-      tracer = std::move(rt);
-    } else {
-      std::fprintf(stderr, "unknown tracer kind: %s (ring|mutex)\n",
-                   opts.tracer_kind.c_str());
-      return Usage();
+    // Size the rings and the retained window generously so a full run
+    // (decisions + cache events) is never dropped or wrapped; the audit
+    // must see every decision.
+    tracer = std::make_unique<RingTracer>(
+        static_cast<size_t>(std::max(1024, 4 * opts.m)));
+    if (!opts.trace_events.empty()) {
+      auto sink = std::make_shared<JsonlFileSink>(opts.trace_events);
+      if (!sink->ok()) {
+        std::fprintf(stderr, "trace-events error: cannot open trace file: "
+                             "%s\n", opts.trace_events.c_str());
+        return 1;
+      }
+      tracer->AddSink(std::move(sink));
     }
     ropts.tracer = tracer.get();
   }
@@ -461,7 +447,7 @@ int main(int argc, char** argv) {
   // the technique field) and bumps faults.fired, so chaos runs are
   // auditable from the JSONL/metrics alone.
   if (faultreg.enabled() && (tracer != nullptr || registry != nullptr)) {
-    Tracer* fault_tracer = tracer.get();
+    RingTracer* fault_tracer = tracer.get();
     Counter* fault_counter =
         registry != nullptr ? registry->counter("faults.fired") : nullptr;
     faultreg.SetOnFire([fault_tracer, fault_counter](std::string_view point,
@@ -469,8 +455,8 @@ int main(int argc, char** argv) {
       if (fault_counter != nullptr) fault_counter->Increment();
       DecisionEvent e;
       e.outcome = DecisionOutcome::kFaultInjected;
-      e.technique = std::string(point);
-      EmitDecisionEvent(fault_tracer, std::move(e));
+      e.technique = NameId::Intern(point);
+      EmitDecisionEvent(fault_tracer, e);
     });
   }
 
@@ -479,21 +465,15 @@ int main(int argc, char** argv) {
 
   std::shared_ptr<OnlineAuditor> online_auditor;
   if (opts.online_audit) {
-    if (ring_tracer == nullptr) {
-      std::fprintf(stderr,
-                   "--online-audit requires --tracer ring (the monitor "
-                   "consumes the exporter stream)\n");
-      return 2;
-    }
     OnlineAuditorOptions aopts;
     aopts.config.lambda = opts.lambda;
     if (is_scr_family) {
       aopts.config.lambda_r = std::sqrt(opts.lambda);  // ScrOptions default
     }
-    aopts.alert_tracer = ring_tracer;
+    aopts.alert_tracer = tracer.get();
     aopts.metrics = registry.get();
     online_auditor = std::make_shared<OnlineAuditor>(aopts);
-    ring_tracer->AddSink(online_auditor);
+    tracer->AddSink(online_auditor);
   }
 
   std::unique_ptr<AdminServer> admin;
@@ -501,7 +481,7 @@ int main(int argc, char** argv) {
     AdminServer::Options aopts;
     aopts.port = opts.admin_port;
     aopts.metrics = registry.get();
-    Tracer* statusz_tracer = tracer.get();
+    RingTracer* statusz_tracer = tracer.get();
     std::string statusz_technique = opts.technique;
     double statusz_lambda = opts.lambda;
     aopts.statusz = [statusz_tracer, statusz_technique, statusz_lambda]() {
@@ -527,10 +507,10 @@ int main(int argc, char** argv) {
 
   SequenceMetrics m = RunSequence(optimizer, instances, perm, oracle,
                                   technique.get(), ropts);
-  // Drain the rings before reading the trace back (writes, audits,
-  // status) — the exporter runs on its own clock.
-  if (ring_tracer != nullptr) {
-    Status st = ring_tracer->Flush();
+  // Drain the rings and flush the sinks before reading the trace back
+  // (writes, audits, status) — the exporter runs on its own clock.
+  if (tracer != nullptr) {
+    Status st = tracer->Flush();
     if (!st.ok()) {
       std::fprintf(stderr, "trace flush error: %s\n", st.ToString().c_str());
       return 1;
@@ -551,12 +531,8 @@ int main(int argc, char** argv) {
               static_cast<long long>(m.bound_violations));
 
   if (tracer != nullptr && !opts.trace_events.empty()) {
-    Status st = tracer->WriteJsonlFile(opts.trace_events);
-    if (!st.ok()) {
-      std::fprintf(stderr, "trace-events error: %s\n",
-                   st.ToString().c_str());
-      return 1;
-    }
+    // The file sink streamed every exported event; Flush above made it
+    // durable.
     std::printf("wrote %lld decision events to %s\n",
                 static_cast<long long>(tracer->total_recorded()),
                 opts.trace_events.c_str());

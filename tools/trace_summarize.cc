@@ -87,9 +87,9 @@ int main(int argc, char** argv) {
     // keep them out of the technique header line.
     if (!e.technique.empty() &&
         e.outcome != DecisionOutcome::kFaultInjected) {
-      ++techniques[e.technique];
+      ++techniques[e.technique.str()];
     }
-    ++template_totals[e.template_key];
+    ++template_totals[e.template_key.str()];
     if (e.outcome == DecisionOutcome::kRingDropped) {
       ++drop_events;
       dropped_total += e.dropped;
@@ -97,11 +97,12 @@ int main(int argc, char** argv) {
     if (e.outcome == DecisionOutcome::kFaultInjected) {
       // Fault-injection meta events carry the fault point name in the
       // technique field (see obs/trace.h).
-      ++fault_fires[e.technique.empty() ? "(unnamed)" : e.technique];
+      ++fault_fires[e.technique.empty() ? "(unnamed)" : e.technique.str()];
     }
     if (IsDecisionOutcome(e.outcome)) {
       ++decisions;
-      decision_micros.push_back(static_cast<double>(e.wall_micros));
+      // Whole microseconds, as on the wire.
+      decision_micros.push_back(static_cast<double>(e.wall_ns / 1000));
       candidates.push_back(static_cast<double>(e.candidates_scanned));
       recosts.push_back(static_cast<double>(e.recost_calls));
       if (e.outcome == DecisionOutcome::kOptimized ||
@@ -109,9 +110,9 @@ int main(int argc, char** argv) {
         ++optimizer_calls;
       }
       for (int s = 0; s < kNumStages; ++s) {
-        int64_t us = e.stages.get(static_cast<Stage>(s));
-        if (us >= 0) {
-          stage_micros[s].push_back(static_cast<double>(us));
+        int64_t ns = e.stages.get(static_cast<Stage>(s));
+        if (ns >= 0) {
+          stage_micros[s].push_back(static_cast<double>(ns / 1000));
         }
       }
     } else {
