@@ -46,7 +46,7 @@ inline constexpr const char kOptimizeFail[] = "optimizer.fail";
 /// (models a slow optimizer; triggers the deadline fallback when an
 /// optimize deadline is configured).
 inline constexpr const char kOptimizeLatency[] = "optimizer.latency";
-/// Recost/RecostMany/RecostBundled replace the result with NaN.
+/// Recost/RecostMany replace the result with NaN.
 inline constexpr const char kRecostNonFinite[] = "recost.nonfinite";
 /// Recost results are multiplied by `param` (default 10x) — models a
 /// mis-costing engine without leaving the finite domain.

@@ -15,8 +15,8 @@
 //   - watermark() returns the total heap bytes the arena has ever
 //     reserved. It is monotone; a test that records it after warm-up and
 //     asserts it unchanged after N more getPlans has proven the warmed
-//     reuse path allocation-free (recost_bundle_test.cc does exactly
-//     that, alongside a global operator-new counter).
+//     reuse path allocation-free (ScrZeroAllocTest in recost_test.cc
+//     does exactly that, alongside a global operator-new counter).
 //   - ArenaVec<T> is the growable-span veneer: push_back grows by
 //     doubling into a fresh arena span (the old span is abandoned until
 //     the enclosing Scope rewinds — bounded by the doubling sum). T must

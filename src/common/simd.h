@@ -1,55 +1,21 @@
-// Portable 4-lane double SIMD wrapper used by the batched recost kernels
-// and the vectorized selectivity check.
+// Portable 4-lane double wrapper used by the vectorized selectivity check
+// (ComputeGlFast), plus the scalar math helpers the cost formulas share.
 //
-// Three vector types, one interface:
-//   Vec4dScalar  plain double[4] element loops — always defined, the
-//                guaranteed-everywhere tier. Compilers auto-vectorize the
-//                fixed-trip-count loops to SSE2/NEON where available, and
-//                the four independent lanes software-pipeline on anything.
-//   Vec4dNeon    two float64x2_t halves (aarch64, where NEON is baseline).
-//   Vec4dAvx2    one __m256d — defined ONLY in translation units compiled
-//                with -mavx2 -mfma (see src/optimizer/recost_bundle_avx2.cc
-//                and its per-source COMPILE_OPTIONS). Default builds carry
-//                no -march flags; the AVX2 kernel is selected at runtime
-//                via __builtin_cpu_supports, never statically.
+// Vec4dScalar is a plain double[4] with element loops. Compilers
+// auto-vectorize the fixed-trip-count loops to SSE2/NEON where available,
+// and the four independent lanes software-pipeline on anything; no
+// target-specific flags or runtime dispatch are involved.
 //
-// Every helper is SCRPQO_VEC_INLINE (always_inline): the bodies must fold
-// into their (possibly target-flagged) callers so no out-of-line COMDAT
-// copy compiled with extended ISA can leak into generic code through the
-// linker.
+// Every helper is SCRPQO_VEC_INLINE (always_inline) so the loops fold into
+// their callers.
 //
-// The generic math entry points (VecMax/VecMin/VecSelectGt/VecLog2) also
-// have double overloads with branch-identical scalar semantics, so the
-// shared cost formulas (optimizer/cost_formulas_core.h) instantiate for
-// either width from one source of truth.
+// The double overloads of VecMax/VecMin/VecSelectGt/VecLog2 carry the exact
+// branch semantics of the original scalar cost formulas
+// (optimizer/cost_formulas.h). This header is also the only file where the
+// effect analyzer's FP rule allows a raw std::log2 call.
 #pragma once
 
 #include <cmath>
-#include <cstddef>
-#include <cstdint>
-#include <new>
-
-#if defined(__AVX2__) && defined(__FMA__) && \
-    (defined(__x86_64__) || defined(_M_X64))
-#define SCRPQO_SIMD_AVX2_TU 1
-#include <immintrin.h>
-#else
-#define SCRPQO_SIMD_AVX2_TU 0
-#endif
-
-#if SCRPQO_SIMD_AVX2_TU && defined(__AVX512F__) && defined(__AVX512DQ__) && \
-    defined(__AVX512VL__)
-#define SCRPQO_SIMD_AVX512_TU 1
-#else
-#define SCRPQO_SIMD_AVX512_TU 0
-#endif
-
-#if defined(__aarch64__)
-#define SCRPQO_SIMD_NEON 1
-#include <arm_neon.h>
-#else
-#define SCRPQO_SIMD_NEON 0
-#endif
 
 #if defined(__GNUC__) || defined(__clang__)
 #define SCRPQO_VEC_INLINE inline __attribute__((always_inline))
@@ -59,26 +25,9 @@
 
 namespace scrpqo {
 
-/// Cache-line alignment used for the bundle's coefficient lanes (a 32-byte
-/// vector load never splits a line, and adjacent lane rows never false-share).
-inline constexpr std::size_t kSimdAlign = 64;
-
-/// 64-byte-aligned heap allocation (paired with AlignedFree). Used for the
-/// bundle coefficient rows; ordinary operator delete must NOT be called on
-/// the result.
-inline void* AlignedAlloc(std::size_t bytes) {
-  if (bytes == 0) bytes = kSimdAlign;
-  return ::operator new(bytes, std::align_val_t(kSimdAlign));
-}
-
-inline void AlignedFree(void* p) {
-  if (p != nullptr) ::operator delete(p, std::align_val_t(kSimdAlign));
-}
-
 // ---------------------------------------------------------------------------
-// Scalar (double) overloads of the generic vector math: exactly the branch
-// semantics the original cost formulas used, so instantiating the shared
-// templates at V = double is bit-identical to the historical scalar code.
+// Scalar (double) math: exactly the branch semantics the original cost
+// formulas used.
 // ---------------------------------------------------------------------------
 
 SCRPQO_VEC_INLINE double VecMax(double a, double b) {
@@ -87,14 +36,14 @@ SCRPQO_VEC_INLINE double VecMax(double a, double b) {
 SCRPQO_VEC_INLINE double VecMin(double a, double b) {
   return a < b ? a : b;
 }
-/// Lanewise `x > t ? a : b`.
+/// `x > t ? a : b`.
 SCRPQO_VEC_INLINE double VecSelectGt(double x, double t, double a, double b) {
   return x > t ? a : b;
 }
 SCRPQO_VEC_INLINE double VecLog2(double x) { return std::log2(x); }
 
 // ---------------------------------------------------------------------------
-// Vec4dScalar: the everywhere tier.
+// Vec4dScalar: four independent double lanes.
 // ---------------------------------------------------------------------------
 
 struct Vec4dScalar {
@@ -111,40 +60,8 @@ struct Vec4dScalar {
     r.v[3] = p[3];
     return r;
   }
-  SCRPQO_VEC_INLINE void Store(double* p) const {
-    p[0] = v[0];
-    p[1] = v[1];
-    p[2] = v[2];
-    p[3] = v[3];
-  }
-  /// r[l] = base[idx[l]]. Every index must be valid.
-  static SCRPQO_VEC_INLINE Vec4dScalar Gather(const double* base,
-                                              const int32_t* idx) {
-    Vec4dScalar r;
-    for (int i = 0; i < 4; ++i) r.v[i] = base[idx[i]];
-    return r;
-  }
-  /// r[l] = idx[l] >= 0 ? base[idx[l]] : defs[l]. Negative indices are
-  /// never dereferenced.
-  static SCRPQO_VEC_INLINE Vec4dScalar GatherOrDefault(const double* base,
-                                                       const int32_t* idx,
-                                                       const double* defs) {
-    Vec4dScalar r;
-    for (int i = 0; i < 4; ++i) r.v[i] = idx[i] >= 0 ? base[idx[i]] : defs[i];
-    return r;
-  }
 };
 
-SCRPQO_VEC_INLINE Vec4dScalar operator+(Vec4dScalar a, Vec4dScalar b) {
-  Vec4dScalar r;
-  for (int i = 0; i < 4; ++i) r.v[i] = a.v[i] + b.v[i];
-  return r;
-}
-SCRPQO_VEC_INLINE Vec4dScalar operator-(Vec4dScalar a, Vec4dScalar b) {
-  Vec4dScalar r;
-  for (int i = 0; i < 4; ++i) r.v[i] = a.v[i] - b.v[i];
-  return r;
-}
 SCRPQO_VEC_INLINE Vec4dScalar operator*(Vec4dScalar a, Vec4dScalar b) {
   Vec4dScalar r;
   for (int i = 0; i < 4; ++i) r.v[i] = a.v[i] * b.v[i];
@@ -160,298 +77,12 @@ SCRPQO_VEC_INLINE Vec4dScalar VecMax(Vec4dScalar a, Vec4dScalar b) {
   for (int i = 0; i < 4; ++i) r.v[i] = a.v[i] > b.v[i] ? a.v[i] : b.v[i];
   return r;
 }
-SCRPQO_VEC_INLINE Vec4dScalar VecMin(Vec4dScalar a, Vec4dScalar b) {
-  Vec4dScalar r;
-  for (int i = 0; i < 4; ++i) r.v[i] = a.v[i] < b.v[i] ? a.v[i] : b.v[i];
-  return r;
-}
+/// Lanewise `x > t ? a : b`.
 SCRPQO_VEC_INLINE Vec4dScalar VecSelectGt(Vec4dScalar x, Vec4dScalar t,
                                           Vec4dScalar a, Vec4dScalar b) {
   Vec4dScalar r;
   for (int i = 0; i < 4; ++i) r.v[i] = x.v[i] > t.v[i] ? a.v[i] : b.v[i];
   return r;
-}
-SCRPQO_VEC_INLINE Vec4dScalar VecLog2(Vec4dScalar x) {
-  Vec4dScalar r;
-  for (int i = 0; i < 4; ++i) r.v[i] = std::log2(x.v[i]);
-  return r;
-}
-
-// ---------------------------------------------------------------------------
-// Vec4dNeon: aarch64 (NEON is baseline there, no extra compile flags).
-// ---------------------------------------------------------------------------
-
-#if SCRPQO_SIMD_NEON
-struct Vec4dNeon {
-  float64x2_t lo;
-  float64x2_t hi;
-
-  Vec4dNeon() = default;
-  SCRPQO_VEC_INLINE explicit Vec4dNeon(double x)
-      : lo(vdupq_n_f64(x)), hi(vdupq_n_f64(x)) {}
-  SCRPQO_VEC_INLINE Vec4dNeon(float64x2_t l, float64x2_t h) : lo(l), hi(h) {}
-
-  static SCRPQO_VEC_INLINE Vec4dNeon Load(const double* p) {
-    return Vec4dNeon(vld1q_f64(p), vld1q_f64(p + 2));
-  }
-  SCRPQO_VEC_INLINE void Store(double* p) const {
-    vst1q_f64(p, lo);
-    vst1q_f64(p + 2, hi);
-  }
-  /// No hardware gather on NEON; lanewise loads (still skips the staging
-  /// round-trip through memory the callers would otherwise do).
-  static SCRPQO_VEC_INLINE Vec4dNeon Gather(const double* base,
-                                            const int32_t* idx) {
-    alignas(kSimdAlign) double buf[4];
-    for (int i = 0; i < 4; ++i) buf[i] = base[idx[i]];
-    return Load(buf);
-  }
-  static SCRPQO_VEC_INLINE Vec4dNeon GatherOrDefault(const double* base,
-                                                     const int32_t* idx,
-                                                     const double* defs) {
-    alignas(kSimdAlign) double buf[4];
-    for (int i = 0; i < 4; ++i) buf[i] = idx[i] >= 0 ? base[idx[i]] : defs[i];
-    return Load(buf);
-  }
-};
-
-SCRPQO_VEC_INLINE Vec4dNeon operator+(Vec4dNeon a, Vec4dNeon b) {
-  return Vec4dNeon(vaddq_f64(a.lo, b.lo), vaddq_f64(a.hi, b.hi));
-}
-SCRPQO_VEC_INLINE Vec4dNeon operator-(Vec4dNeon a, Vec4dNeon b) {
-  return Vec4dNeon(vsubq_f64(a.lo, b.lo), vsubq_f64(a.hi, b.hi));
-}
-SCRPQO_VEC_INLINE Vec4dNeon operator*(Vec4dNeon a, Vec4dNeon b) {
-  return Vec4dNeon(vmulq_f64(a.lo, b.lo), vmulq_f64(a.hi, b.hi));
-}
-SCRPQO_VEC_INLINE Vec4dNeon operator/(Vec4dNeon a, Vec4dNeon b) {
-  return Vec4dNeon(vdivq_f64(a.lo, b.lo), vdivq_f64(a.hi, b.hi));
-}
-SCRPQO_VEC_INLINE Vec4dNeon VecMax(Vec4dNeon a, Vec4dNeon b) {
-  return Vec4dNeon(vmaxq_f64(a.lo, b.lo), vmaxq_f64(a.hi, b.hi));
-}
-SCRPQO_VEC_INLINE Vec4dNeon VecMin(Vec4dNeon a, Vec4dNeon b) {
-  return Vec4dNeon(vminq_f64(a.lo, b.lo), vminq_f64(a.hi, b.hi));
-}
-SCRPQO_VEC_INLINE Vec4dNeon VecSelectGt(Vec4dNeon x, Vec4dNeon t,
-                                        Vec4dNeon a, Vec4dNeon b) {
-  uint64x2_t mlo = vcgtq_f64(x.lo, t.lo);
-  uint64x2_t mhi = vcgtq_f64(x.hi, t.hi);
-  return Vec4dNeon(vbslq_f64(mlo, a.lo, b.lo), vbslq_f64(mhi, a.hi, b.hi));
-}
-SCRPQO_VEC_INLINE Vec4dNeon VecLog2(Vec4dNeon x) {
-  // No vector log2 on NEON; lanewise libm (Sort is the only user).
-  alignas(kSimdAlign) double buf[4];
-  x.Store(buf);
-  for (double& d : buf) d = std::log2(d);
-  return Vec4dNeon::Load(buf);
-}
-#endif  // SCRPQO_SIMD_NEON
-
-// ---------------------------------------------------------------------------
-// Vec4dAvx2: only in -mavx2 -mfma translation units.
-// ---------------------------------------------------------------------------
-
-#if SCRPQO_SIMD_AVX2_TU
-struct Vec4dAvx2 {
-  __m256d v;
-
-  Vec4dAvx2() = default;
-  SCRPQO_VEC_INLINE explicit Vec4dAvx2(double x) : v(_mm256_set1_pd(x)) {}
-  SCRPQO_VEC_INLINE explicit Vec4dAvx2(__m256d x) : v(x) {}
-
-  static SCRPQO_VEC_INLINE Vec4dAvx2 Load(const double* p) {
-    return Vec4dAvx2(_mm256_loadu_pd(p));
-  }
-  SCRPQO_VEC_INLINE void Store(double* p) const { _mm256_storeu_pd(p, v); }
-  /// Hardware gather: one vgatherdpd instead of four scalar loads staged
-  /// through a stack buffer (whose 4x8B stores followed by a 32B vector
-  /// load defeat store-to-load forwarding — a measurable stall per step).
-  static SCRPQO_VEC_INLINE Vec4dAvx2 Gather(const double* base,
-                                            const int32_t* idx) {
-    const __m128i i32 =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(idx));
-    // All-ones-mask form of _mm256_i32gather_pd: identical instruction,
-    // but with a defined destination (the plain intrinsic's undefined dst
-    // trips -Wmaybe-uninitialized through GCC's own header).
-    const __m256d ones = _mm256_castsi256_pd(_mm256_set1_epi64x(-1));
-    return Vec4dAvx2(
-        _mm256_mask_i32gather_pd(_mm256_setzero_pd(), base, i32, ones, 8));
-  }
-  /// Masked gather: lanes with idx < 0 take defs[l]; their indices are
-  /// never dereferenced (the mask suppresses the load and any fault).
-  static SCRPQO_VEC_INLINE Vec4dAvx2 GatherOrDefault(const double* base,
-                                                     const int32_t* idx,
-                                                     const double* defs) {
-    const __m128i i32 =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(idx));
-    const __m256d mask = _mm256_castsi256_pd(_mm256_cmpgt_epi64(
-        _mm256_cvtepi32_epi64(i32), _mm256_set1_epi64x(-1)));
-    return Vec4dAvx2(
-        _mm256_mask_i32gather_pd(_mm256_loadu_pd(defs), base, i32, mask, 8));
-  }
-};
-
-SCRPQO_VEC_INLINE Vec4dAvx2 operator+(Vec4dAvx2 a, Vec4dAvx2 b) {
-  return Vec4dAvx2(_mm256_add_pd(a.v, b.v));
-}
-SCRPQO_VEC_INLINE Vec4dAvx2 operator-(Vec4dAvx2 a, Vec4dAvx2 b) {
-  return Vec4dAvx2(_mm256_sub_pd(a.v, b.v));
-}
-SCRPQO_VEC_INLINE Vec4dAvx2 operator*(Vec4dAvx2 a, Vec4dAvx2 b) {
-  return Vec4dAvx2(_mm256_mul_pd(a.v, b.v));
-}
-SCRPQO_VEC_INLINE Vec4dAvx2 operator/(Vec4dAvx2 a, Vec4dAvx2 b) {
-  return Vec4dAvx2(_mm256_div_pd(a.v, b.v));
-}
-SCRPQO_VEC_INLINE Vec4dAvx2 VecMax(Vec4dAvx2 a, Vec4dAvx2 b) {
-  return Vec4dAvx2(_mm256_max_pd(a.v, b.v));
-}
-SCRPQO_VEC_INLINE Vec4dAvx2 VecMin(Vec4dAvx2 a, Vec4dAvx2 b) {
-  return Vec4dAvx2(_mm256_min_pd(a.v, b.v));
-}
-SCRPQO_VEC_INLINE Vec4dAvx2 VecSelectGt(Vec4dAvx2 x, Vec4dAvx2 t,
-                                        Vec4dAvx2 a, Vec4dAvx2 b) {
-  __m256d m = _mm256_cmp_pd(x.v, t.v, _CMP_GT_OQ);
-  return Vec4dAvx2(_mm256_blendv_pd(b.v, a.v, m));
-}
-SCRPQO_VEC_INLINE Vec4dAvx2 VecLog2(Vec4dAvx2 x) {
-  alignas(kSimdAlign) double buf[4];
-  x.Store(buf);
-  for (double& d : buf) d = std::log2(d);
-  return Vec4dAvx2::Load(buf);
-}
-#endif  // SCRPQO_SIMD_AVX2_TU
-
-// ---------------------------------------------------------------------------
-// Vec8dAvx512: only in -mavx512{f,dq,vl} translation units. Eight lanes =
-// one __m512d = TWO adjacent 4-lane blocks of a bundle group, whose rows
-// are contiguous by construction — the paired kernel halves the op count
-// per step without touching the pack layout.
-// ---------------------------------------------------------------------------
-
-#if SCRPQO_SIMD_AVX512_TU
-struct Vec8dAvx512 {
-  __m512d v;
-
-  Vec8dAvx512() = default;
-  SCRPQO_VEC_INLINE explicit Vec8dAvx512(double x) : v(_mm512_set1_pd(x)) {}
-  SCRPQO_VEC_INLINE explicit Vec8dAvx512(__m512d x) : v(x) {}
-
-  static SCRPQO_VEC_INLINE Vec8dAvx512 Load(const double* p) {
-    return Vec8dAvx512(_mm512_loadu_pd(p));
-  }
-  SCRPQO_VEC_INLINE void Store(double* p) const { _mm512_storeu_pd(p, v); }
-  /// One scalar per 4-lane half: lanes 0-3 get `lo`, lanes 4-7 get `hi`.
-  /// Used when a block pair's two uniform broadcast values differ (e.g.
-  /// each block's shared selectivity product).
-  static SCRPQO_VEC_INLINE Vec8dAvx512 BroadcastPair(double lo, double hi) {
-    return Vec8dAvx512(_mm512_insertf64x4(
-        _mm512_castpd256_pd512(_mm256_set1_pd(lo)), _mm256_set1_pd(hi), 1));
-  }
-  /// r[l] = base[idx[l]]. Every index must be valid.
-  static SCRPQO_VEC_INLINE Vec8dAvx512 Gather(const double* base,
-                                              const int32_t* idx) {
-    const __m256i i32 =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(idx));
-    return Vec8dAvx512(_mm512_i32gather_pd(i32, base, 8));
-  }
-  /// Masked gather: lanes with idx < 0 take defs[l]; their indices are
-  /// never dereferenced (the mask suppresses the load and any fault).
-  static SCRPQO_VEC_INLINE Vec8dAvx512 GatherOrDefault(const double* base,
-                                                       const int32_t* idx,
-                                                       const double* defs) {
-    const __m256i i32 =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(idx));
-    const __mmask8 m = _mm256_cmpgt_epi32_mask(i32, _mm256_set1_epi32(-1));
-    return Vec8dAvx512(
-        _mm512_mask_i32gather_pd(_mm512_loadu_pd(defs), m, i32, base, 8));
-  }
-};
-
-SCRPQO_VEC_INLINE Vec8dAvx512 operator+(Vec8dAvx512 a, Vec8dAvx512 b) {
-  return Vec8dAvx512(_mm512_add_pd(a.v, b.v));
-}
-SCRPQO_VEC_INLINE Vec8dAvx512 operator-(Vec8dAvx512 a, Vec8dAvx512 b) {
-  return Vec8dAvx512(_mm512_sub_pd(a.v, b.v));
-}
-SCRPQO_VEC_INLINE Vec8dAvx512 operator*(Vec8dAvx512 a, Vec8dAvx512 b) {
-  return Vec8dAvx512(_mm512_mul_pd(a.v, b.v));
-}
-SCRPQO_VEC_INLINE Vec8dAvx512 operator/(Vec8dAvx512 a, Vec8dAvx512 b) {
-  return Vec8dAvx512(_mm512_div_pd(a.v, b.v));
-}
-SCRPQO_VEC_INLINE Vec8dAvx512 VecMax(Vec8dAvx512 a, Vec8dAvx512 b) {
-  return Vec8dAvx512(_mm512_max_pd(a.v, b.v));
-}
-SCRPQO_VEC_INLINE Vec8dAvx512 VecMin(Vec8dAvx512 a, Vec8dAvx512 b) {
-  return Vec8dAvx512(_mm512_min_pd(a.v, b.v));
-}
-SCRPQO_VEC_INLINE Vec8dAvx512 VecSelectGt(Vec8dAvx512 x, Vec8dAvx512 t,
-                                          Vec8dAvx512 a, Vec8dAvx512 b) {
-  const __mmask8 m = _mm512_cmp_pd_mask(x.v, t.v, _CMP_GT_OQ);
-  return Vec8dAvx512(_mm512_mask_blend_pd(m, b.v, a.v));
-}
-SCRPQO_VEC_INLINE Vec8dAvx512 VecLog2(Vec8dAvx512 x) {
-  alignas(kSimdAlign) double buf[8];
-  x.Store(buf);
-  for (double& d : buf) d = std::log2(d);
-  return Vec8dAvx512::Load(buf);
-}
-#endif  // SCRPQO_SIMD_AVX512_TU
-
-// ---------------------------------------------------------------------------
-// Runtime tier detection.
-// ---------------------------------------------------------------------------
-
-/// Kernel tiers for the batched recost engine. kScalar4 is always
-/// available; at most one hardware tier joins it per architecture.
-enum class SimdTier : int {
-  kScalar4 = 0,  // Vec4dScalar (4-way software-pipelined / auto-vectorized)
-  kNeon = 1,     // Vec4dNeon (aarch64)
-  kAvx2 = 2,     // Vec4dAvx2 (x86-64, runtime-detected)
-  kAvx512 = 3,   // Vec8dAvx512 block pairs (x86-64, runtime-detected)
-};
-
-inline const char* SimdTierName(SimdTier tier) {
-  switch (tier) {
-    case SimdTier::kScalar4:
-      return "scalar4";
-    case SimdTier::kNeon:
-      return "neon";
-    case SimdTier::kAvx2:
-      return "avx2";
-    case SimdTier::kAvx512:
-      return "avx512";
-  }
-  return "unknown";
-}
-
-/// True when the running CPU can execute the AVX2+FMA kernel (the kernel
-/// itself must additionally have been compiled in; see
-/// bundle_kernel::HaveAvx2Kernel).
-inline bool CpuSupportsAvx2Fma() {
-#if (defined(__x86_64__) || defined(_M_X64)) && \
-    (defined(__GNUC__) || defined(__clang__))
-  return __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma");
-#else
-  return false;
-#endif
-}
-
-/// True when the running CPU can execute the AVX-512 block-pair kernel
-/// (foundation + DQ for f64x4 inserts + VL for the 256-bit mask compare).
-/// The kernel itself must additionally have been compiled in; see
-/// bundle_kernel::HaveAvx512Kernel.
-inline bool CpuSupportsAvx512() {
-#if (defined(__x86_64__) || defined(_M_X64)) && \
-    (defined(__GNUC__) || defined(__clang__))
-  return __builtin_cpu_supports("avx512f") &&
-         __builtin_cpu_supports("avx512dq") &&
-         __builtin_cpu_supports("avx512vl");
-#else
-  return false;
-#endif
 }
 
 }  // namespace scrpqo

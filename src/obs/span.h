@@ -19,8 +19,7 @@
 //   recost        scalar Recost calls (tree walks, one-off programs)
 //   optimize      full optimizer call on a miss
 //   manage_cache  Algorithm 2 bookkeeping (store-or-reuse, eviction)
-//   batch_recost  batched recost sweeps (RecostMany blocks and the
-//                 SIMD bundle's EvalMany passes)
+//   batch_recost  batched recost sweeps (EngineContext::RecostMany)
 #pragma once
 
 #include <chrono>

@@ -498,7 +498,8 @@ OptimizationResult Optimizer::OptimizeWithSVector(
     const QueryInstance& instance, const SVector& sv) const {
   const QueryTemplate& tmpl = instance.query_template();
   SCRPQO_CHECK(tmpl.num_tables() >= 1, "query must reference a table");
-  SCRPQO_CHECK(tmpl.num_tables() <= 20, "too many tables for bitset memo");
+  SCRPQO_CHECK(tmpl.num_tables() <= kMaxPlanTables,
+               "too many tables for bitset memo");
   SCRPQO_CHECK(tmpl.IsJoinGraphConnected(),
                "join graph must be connected (no cross products)");
   SearchContext ctx(*db_, options_, cost_model_, instance, sv);

@@ -34,6 +34,12 @@ enum class PhysicalOpKind {
 
 std::string PhysicalOpName(PhysicalOpKind kind);
 
+/// Most base tables one query (and so one plan) may read. The optimizer
+/// enforces it, because its memo keys table subsets as 32-bit sets.
+/// RecostProgram sizes its value stack from it: a postorder scan holds at
+/// most one value per leaf.
+inline constexpr int kMaxPlanTables = 20;
+
 /// Output (or required) sort order: a single base-table column. Identified
 /// by the template's table index, so the key survives joins.
 struct SortKey {

@@ -9,8 +9,9 @@
 // parameterized leaf selectivities and re-derives cardinality and cost
 // bottom-up — arithmetic only, no plan search — which is why it is orders
 // of magnitude cheaper than an optimizer call. The flat program makes the
-// arithmetic a single linear scan (see recost_program.h); the tree walker
-// remains as the reference path for hand-built CachedPlans.
+// arithmetic a single linear scan (see recost_program.h), and it is the
+// only evaluator on the serving path; CostModel::RecostTree remains as the
+// oracle the tests and uncharged evaluation compare against.
 #pragma once
 
 #include <atomic>
@@ -34,8 +35,8 @@ namespace scrpqo {
 struct CachedPlan {
   PlanPtr plan;
   /// Flat postorder recost program compiled from `plan` at MakeCachedPlan
-  /// time; empty for hand-assembled CachedPlans (Recost then falls back to
-  /// the tree walker).
+  /// time. Every charged Recost runs it, so serving CachedPlans come from
+  /// MakeCachedPlan.
   RecostProgram program;
   uint64_t signature = 0;
   /// Memo size when the plan was produced vs. retained nodes — the basis of
@@ -76,16 +77,8 @@ class RecostService {
   /// decides whether to continue (`true`) or stop early (`false`) — e.g.
   /// the redundancy sweep stops once the running best already beats
   /// lambda_r, and SCR's cost check stops at the first passing candidate.
-  /// Returns the number of plans actually re-costed (each is charged as
-  /// one Recost call).
-  ///
-  /// Runs of consecutive block-eligible programs (compiled, small, fully
-  /// bound — see RecostBlockEligible) execute through the 4-way pipelined
-  /// block interpreter; ineligible plans fall back to one scalar pass.
-  /// Visit order, per-plan costs, and — because billing counts only plans
-  /// the visitor saw — the charged call count are all identical to the
-  /// one-Run-per-plan loop; a mid-block early exit merely discards lane
-  /// results that were computed for free.
+  /// Returns the number of plans actually re-costed; each is charged as
+  /// one Recost call, so the count equals the one-call-per-plan loop's.
   template <typename Visitor>
   SCRPQO_HOT SCRPQO_NOALLOC SCRPQO_NONBLOCKING SCRPQO_FP_DETERMINISTIC
   SCRPQO_LOCK_BOUNDED()
@@ -95,37 +88,11 @@ class RecostService {
     SCRPQO_CHECK(out_costs.size() >= plans.size(),
                  "RecostMany output span too small");
     size_t visited = 0;
-    size_t i = 0;
-    bool stop = false;
-    while (i < plans.size() && !stop) {
-      const RecostProgram* progs[kRecostBlockLanes];
-      int n = 0;
-      while (n < kRecostBlockLanes && i + static_cast<size_t>(n) <
-                                          plans.size()) {
-        const RecostProgram& prog = plans[i + static_cast<size_t>(n)]->program;
-        if (!RecostBlockEligible(prog, sv.size())) break;
-        progs[n] = &prog;
-        ++n;
-      }
-      if (n >= 2) {
-        double costs[kRecostBlockLanes];
-        RunRecostBlock(progs, n, sv, cost_model_->params(), costs);
-        for (int l = 0; l < n; ++l) {
-          out_costs[i + static_cast<size_t>(l)] = costs[l];
-          ++visited;
-          if (!visit(i + static_cast<size_t>(l), costs[l])) {
-            stop = true;
-            break;
-          }
-        }
-        i += static_cast<size_t>(n);
-      } else {
-        const double c = RecostNoCount(*plans[i], sv);
-        out_costs[i] = c;
-        ++visited;
-        if (!visit(i, c)) stop = true;
-        ++i;
-      }
+    while (visited < plans.size()) {
+      const size_t i = visited++;
+      const double c = RecostNoCount(*plans[i], sv);
+      out_costs[i] = c;
+      if (!visit(i, c)) break;
     }
     num_calls_.fetch_add(static_cast<int64_t>(visited),
                          std::memory_order_relaxed);
@@ -143,19 +110,9 @@ class RecostService {
   }
   void ResetCounters() { num_calls_.store(0, std::memory_order_relaxed); }
 
-  /// Bills `n` Recost-equivalent evaluations performed outside this
-  /// service (RecostBundle::EvalMany visits), keeping num_calls() the
-  /// single source of recost accounting.
-  void ChargeCalls(int64_t n) const {
-    num_calls_.fetch_add(n, std::memory_order_relaxed);
-  }
-
  private:
   double RecostNoCount(const CachedPlan& plan, const SVector& sv) const {
-    if (!plan.program.empty()) {
-      return plan.program.Run(sv, cost_model_->params());
-    }
-    return cost_model_->RecostTree(*plan.plan, sv);
+    return plan.program.Run(sv, cost_model_->params());
   }
 
   const CostModel* cost_model_;

@@ -15,8 +15,8 @@
 //   a / b / c      per-op coefficients
 //                  (base_rows | join_sel | group_distinct | ...)
 //   sel_lit        product of the leaf's literal-pred selectivities
-//   sel_begin/end  range into slots() of the leaf's parameterized binding
-//                  slots (sVector indices)
+//   sel_begin/end  range into the binding-slot table: the leaf's
+//                  parameterized sVector indices
 //   seek_slot      IndexSeek: sVector slot of the sargable seek predicate
 //                  (-1 = constant, stored in c)
 //
@@ -28,9 +28,9 @@
 // per-probe matches, and binding slots itself — so it executes as a unary
 // rewrite of the outer's slot. One linear scan over one
 // allocation, values live at the stack top (registers, in practice), no
-// recursion, no pointer chasing, and no heap traffic (plans up to
-// kInlineSlots nodes use stack scratch; a thread-local spill buffer covers
-// the rest). The arithmetic itself is the shared cost_formulas.h, so the
+// recursion, no pointer chasing, and no heap traffic: the value stack is
+// a fixed kMaxStackDepth-slot array on the C stack, a bound Compile
+// enforces. The arithmetic itself is the shared cost_formulas.h, so the
 // program is equivalent to RecostTree up to multiplication reordering in
 // leaf-selectivity products (~1 ulp; the property test bounds it at 1e-9
 // relative).
@@ -49,6 +49,7 @@
 #endif
 
 #include "common/effects.h"
+#include "common/status.h"
 #include "optimizer/cost_model.h"
 #include "optimizer/physical_plan.h"
 #include "query/query_instance.h"
@@ -57,8 +58,12 @@ namespace scrpqo {
 
 class RecostProgram {
  public:
-  /// Plans at or below this node count run entirely on stack scratch.
-  static constexpr int kInlineSlots = 64;
+  /// Value-stack slots Run evaluates on. The scan holds at most one value
+  /// per leaf (leaves push, joins pop, IndexedNLJ inners are elided), and
+  /// an optimizer plan has at most kMaxPlanTables leaves.
+  static constexpr int kMaxStackDepth = kMaxPlanTables;
+  static_assert(kMaxStackDepth >= kMaxPlanTables,
+                "every plan the optimizer can emit must fit Run's stack");
 
   RecostProgram() = default;
 
@@ -66,14 +71,22 @@ class RecostProgram {
   /// metadata is folded into per-op coefficients; CostParams stay a
   /// Run-time input so one compiled program serves any cost model (and
   /// compilation needs no CostModel handle at MakeCachedPlan time).
+  /// Aborts on a plan Validate rejects (for any dimension count): a plan
+  /// from untrusted bytes must be validated first.
   static RecostProgram Compile(const PhysicalPlanNode& root);
+
+  /// Checks that `root` is a plan Compile accepts and whose program Run
+  /// can evaluate against a `dims`-dimensional sVector: every operator
+  /// has the children its kind needs, every seek_pred indexes into its
+  /// leaf's preds, every param_slot is -1 (literal) or in [0, dims), and
+  /// the scan needs at most kMaxStackDepth stack slots. The same holds
+  /// for CostModel::RecostTree on the plan. Returns InvalidArgument
+  /// naming the first violation.
+  static Status Validate(const PhysicalPlanNode& root, int dims);
 
   /// One postorder micro-op. Doubles first so the struct packs to 48 bytes
   /// with no interior padding — the whole stream is a dense sequential
-  /// read. Public (read-only via ops()) so the batched kernels —
-  /// RecostBundle's SoA packer and the 4-way pipelined block interpreter
-  /// in recost_program_run.h — can consume the stream without a second
-  /// compile path.
+  /// read.
   struct Op {
     // Meaning by kind:            a                b                  c
     //   TableScan/IndexScanOrd    base_rows        -                  -
@@ -91,8 +104,8 @@ class RecostProgram {
     uint8_t kind = 0;
   };
 
-  /// True for a default-constructed (never compiled) program — callers
-  /// fall back to the tree walker.
+  /// True for a default-constructed (never compiled) program, which Run
+  /// refuses.
   bool empty() const { return ops_.empty(); }
 
   /// Op count. At most the plan's node count — INLJ inner leaves are
@@ -118,10 +131,6 @@ class RecostProgram {
 
   static constexpr std::size_t kOpBytes = sizeof(Op);
 
-  /// Read-only view of the compiled stream, for the batched kernels.
-  const Op* ops() const { return ops_.data(); }
-  const int32_t* slots() const { return slots_.data(); }
-
   /// Cost(P, q) for selectivity vector `sv` — one linear scan. Defined
   /// inline below so RecostService and the benches inline the whole
   /// kernel into their call sites. noexcept: proved non-throwing by the
@@ -130,11 +139,11 @@ class RecostProgram {
   double Run(const SVector& sv, const CostParams& params) const noexcept;
 
  private:
-  double RunOps(const SVector& sv, const CostParams& params,
-                double* SCRPQO_RESTRICT rows_stk,
-                double* SCRPQO_RESTRICT cost_stk) const noexcept;
-
-  void Emit(const PhysicalPlanNode& node);
+  /// Compiles `root` into `out` (fresh) and checks the stack bound; the
+  /// shared body of Compile and Validate.
+  static Status Build(const PhysicalPlanNode& root, RecostProgram* out);
+  /// Appends `node`'s subtree in postorder, checking each operator.
+  Status Emit(const PhysicalPlanNode& node);
 
   std::vector<Op> ops_;
   std::vector<int32_t> slots_;
@@ -143,7 +152,7 @@ class RecostProgram {
 
 }  // namespace scrpqo
 
-// Run/RunOps live in the header so callers inline the full kernel: the
+// Run lives in the header so callers inline the full kernel: the
 // whole point of the flat form is a branch-light scan, and a call barrier
 // at every Recost would forfeit a measurable slice of the win on the
 // 5-10 node plans the paper's templates produce.

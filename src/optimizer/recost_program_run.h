@@ -1,4 +1,4 @@
-// Inline definition of the RecostProgram evaluation kernels. Included at
+// Inline definition of the RecostProgram evaluation kernel. Included at
 // the bottom of recost_program.h — never include this file directly.
 //
 // The program is postorder, so evaluation is RPN on a tiny value stack:
@@ -6,17 +6,6 @@
 // (except IndexedNLJ, whose elided inner makes it unary).
 // The stack top stays in registers for the plan shapes the optimizer
 // emits, and the op stream is one dense sequential read.
-//
-// Two entry points share the per-op switch (RecostStepOp):
-//   RecostProgram::Run   one program, one sVector — the scalar path.
-//   RunRecostBlock       up to four programs against one sVector in
-//                        interleaved lockstep: one op per lane per round,
-//                        four independent stack/instruction-pointer sets.
-//                        The lanes' dependency chains are disjoint, so the
-//                        out-of-order core overlaps them (software
-//                        pipelining) — the guaranteed-everywhere batching
-//                        tier under RecostService::RecostMany, no SIMD
-//                        required.
 #pragma once
 
 #include "common/status.h"
@@ -26,9 +15,7 @@
 namespace scrpqo {
 
 /// Executes one micro-op against a value-stack pair. `sel` is the already
-/// computed leaf selectivity (folded literals times bound slots). Shared
-/// by the scalar scan and the pipelined block interpreter so the dispatch
-/// logic cannot drift between them.
+/// computed leaf selectivity (folded literals times bound slots).
 SCRPQO_HOT SCRPQO_NOALLOC SCRPQO_NONBLOCKING SCRPQO_FP_DETERMINISTIC
 SCRPQO_NOTHROW SCRPQO_LOCK_BOUNDED()
 SCRPQO_VEC_INLINE void RecostStepOp(const RecostProgram::Op& op, double sel,
@@ -38,7 +25,7 @@ SCRPQO_VEC_INLINE void RecostStepOp(const RecostProgram::Op& op, double sel,
                                     double* SCRPQO_RESTRICT cost_stk,
                                     int& sp) noexcept {
   namespace cf = cost_formulas;
-  cf::Derived out{};  // two scalars; DerivedT itself no longer zero-inits
+  cf::Derived out{};  // zeroed here: Derived has no member initializers
   switch (static_cast<PhysicalOpKind>(op.kind)) {
     case PhysicalOpKind::kTableScan:
       out = cf::TableScan(params, op.a, sel);
@@ -110,10 +97,14 @@ SCRPQO_VEC_INLINE void RecostStepOp(const RecostProgram::Op& op, double sel,
 
 SCRPQO_HOT SCRPQO_NOALLOC SCRPQO_NONBLOCKING SCRPQO_FP_DETERMINISTIC
 SCRPQO_NOTHROW SCRPQO_LOCK_BOUNDED()
-inline double RecostProgram::RunOps(
-    const SVector& sv, const CostParams& params,
-    double* SCRPQO_RESTRICT rows_stk,
-    double* SCRPQO_RESTRICT cost_stk) const noexcept {
+inline double RecostProgram::Run(const SVector& sv,
+                                 const CostParams& params) const noexcept {
+  SCRPQO_CHECK(!empty(), "Run on an empty (uncompiled) recost program");
+  SCRPQO_CHECK(max_slot_ < static_cast<int>(sv.size()),
+               "selectivity vector too short for recost program");
+  // Compile proved the scan never holds more than kMaxStackDepth values.
+  double rows_stk[kMaxStackDepth];
+  double cost_stk[kMaxStackDepth];
   // Hoisted raw pointers: the compiler cannot otherwise prove the stack
   // stores don't alias the program's own buffers and would reload them
   // every op.
@@ -133,86 +124,6 @@ inline double RecostProgram::RunOps(
     RecostStepOp(op, sel, s, params, rows_stk, cost_stk, sp);
   }
   return cost_stk[0];
-}
-
-SCRPQO_HOT SCRPQO_NOALLOC SCRPQO_NONBLOCKING SCRPQO_FP_DETERMINISTIC
-SCRPQO_NOTHROW SCRPQO_LOCK_BOUNDED()
-inline double RecostProgram::Run(const SVector& sv,
-                                 const CostParams& params) const noexcept {
-  SCRPQO_CHECK(!empty(), "Run on an empty (uncompiled) recost program");
-  SCRPQO_CHECK(max_slot_ < static_cast<int>(sv.size()),
-               "selectivity vector too short for recost program");
-  const size_t n = ops_.size();
-  // Postorder stack depth never exceeds the op count, so the inline-slot
-  // bound that covers the scratch arrays also bounds the value stack.
-  if (n <= static_cast<size_t>(kInlineSlots)) {
-    double rows_stk[kInlineSlots];
-    double cost_stk[kInlineSlots];
-    return RunOps(sv, params, rows_stk, cost_stk);
-  }
-  // Plans this deep are rare; a thread-local spill keeps Run allocation-free
-  // in steady state without growing the inline footprint.
-  thread_local std::vector<double> rows_buf;
-  thread_local std::vector<double> cost_buf;
-  if (rows_buf.size() < n) {
-    SCRPQO_EFFECT_ALLOW(alloc, "deep-plan spill: the thread-local scratch grows once to the deepest plan seen, then every later Run is allocation-free");
-    rows_buf.resize(n);
-    SCRPQO_EFFECT_ALLOW(alloc, "second half of the same sticky thread-local spill");
-    cost_buf.resize(n);
-  }
-  return RunOps(sv, params, rows_buf.data(), cost_buf.data());
-}
-
-/// Lane count of the pipelined block interpreter.
-inline constexpr int kRecostBlockLanes = 4;
-
-/// True when `p` can run as one lane of RunRecostBlock for an sVector of
-/// `sv_size` dimensions: compiled, small enough for stack scratch, and
-/// fully bound by the vector.
-inline bool RecostBlockEligible(const RecostProgram& p,
-                                std::size_t sv_size) {
-  return !p.empty() &&
-         p.num_nodes() <= RecostProgram::kInlineSlots &&
-         p.max_binding_slot() < static_cast<int>(sv_size);
-}
-
-/// Runs `n` (1..4) flat programs against one sVector in interleaved
-/// lockstep and writes each program's cost into out_costs[0..n). Every
-/// program must satisfy RecostBlockEligible. Per-lane results are
-/// identical to RecostProgram::Run — only the evaluation order across
-/// lanes changes, which is what lets the core overlap the four
-/// independent dependency chains.
-SCRPQO_HOT SCRPQO_NOALLOC SCRPQO_NONBLOCKING SCRPQO_FP_DETERMINISTIC
-SCRPQO_NOTHROW SCRPQO_LOCK_BOUNDED()
-inline void RunRecostBlock(const RecostProgram* const* progs, int n,
-                           const SVector& sv, const CostParams& params,
-                           double* out_costs) noexcept {
-  double rows_stk[kRecostBlockLanes][RecostProgram::kInlineSlots];
-  double cost_stk[kRecostBlockLanes][RecostProgram::kInlineSlots];
-  const RecostProgram::Op* ops[kRecostBlockLanes];
-  const int32_t* slots[kRecostBlockLanes];
-  size_t len[kRecostBlockLanes];
-  int sp[kRecostBlockLanes] = {0, 0, 0, 0};
-  const double* const s = sv.data();
-  size_t max_len = 0;
-  for (int l = 0; l < n; ++l) {
-    ops[l] = progs[l]->ops();
-    slots[l] = progs[l]->slots();
-    len[l] = static_cast<size_t>(progs[l]->num_nodes());
-    if (len[l] > max_len) max_len = len[l];
-  }
-  for (size_t i = 0; i < max_len; ++i) {
-    for (int l = 0; l < n; ++l) {
-      if (i >= len[l]) continue;
-      const RecostProgram::Op& op = ops[l][i];
-      double sel = op.sel_lit;
-      for (uint32_t k = op.sel_begin; k != op.sel_end; ++k) {
-        sel *= s[slots[l][k]];
-      }
-      RecostStepOp(op, sel, s, params, rows_stk[l], cost_stk[l], sp[l]);
-    }
-  }
-  for (int l = 0; l < n; ++l) out_costs[l] = cost_stk[l][0];
 }
 
 }  // namespace scrpqo

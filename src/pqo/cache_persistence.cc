@@ -7,6 +7,7 @@
 
 #include "common/fault_injection.h"
 #include "optimizer/plan_serde.h"
+#include "optimizer/recost_program.h"
 
 namespace scrpqo {
 
@@ -56,6 +57,21 @@ Status ParseInstanceLine(const std::string& body, Scr::SnapshotEntry* e) {
     }
   }
   return Status::OK();
+}
+
+/// Checks that Restore can compile `plan` and recost it at the snapshot's
+/// instances: the plan's binding slots must lie below the dimension of the
+/// instance entries. A snapshot with plans but no entries gives no
+/// dimension to check against, so its plans are rejected (SaveScrCache
+/// never writes one: every live plan serves a live entry).
+Status ValidateSnapshotPlan(const PhysicalPlanNode& plan,
+                            const std::vector<Scr::SnapshotEntry>& entries) {
+  if (entries.empty()) {
+    return Status::InvalidArgument(
+        "snapshot plan has no instance entries to bound its param slots");
+  }
+  return RecostProgram::Validate(
+      plan, static_cast<int>(entries.front().v.size()));
 }
 
 /// Chaos hooks for restore-path testing: with the snapshot.truncate /
@@ -123,6 +139,9 @@ Status ParseScrCacheSnapshot(const std::string& snapshot,
       return Status::InvalidArgument("unknown snapshot record: " + line);
     }
   }
+  for (const PlanPtr& plan : *plans) {
+    SCRPQO_RETURN_NOT_OK(ValidateSnapshotPlan(*plan, *entries));
+  }
   return Status::OK();
 }
 
@@ -142,6 +161,8 @@ Status ParseScrCacheSnapshotLenient(const std::string& snapshot,
   // prefix is kept; everything from the first failure on is dropped —
   // later records may reference plans we cannot trust to have parsed.
   bool corrupt = false;
+  // Kept records in file order ('P' or 'I'), for the plan check below.
+  std::string kept;
   while (std::getline(is, line)) {
     if (line.empty()) continue;
     if (corrupt) {
@@ -154,6 +175,7 @@ Status ParseScrCacheSnapshotLenient(const std::string& snapshot,
       if (plan.ok()) {
         plans->push_back(plan.MoveValueOrDie());
         ++report->plans_restored;
+        kept.push_back('P');
       } else {
         st = plan.status();
       }
@@ -164,6 +186,7 @@ Status ParseScrCacheSnapshotLenient(const std::string& snapshot,
         if (e.plan_ordinal < report->plans_restored) {
           entries->push_back(std::move(e));
           ++report->entries_restored;
+          kept.push_back('I');
         } else {
           st = Status::InvalidArgument(
               "instance entry references unparsed plan");
@@ -180,6 +203,30 @@ Status ParseScrCacheSnapshotLenient(const std::string& snapshot,
   }
   // A snapshot that ends without a trailing newline mid-record shows up
   // as a short final line, caught above; a fully empty tail is fine.
+  //
+  // Plans are checked once the entries' dimension is known. The first plan
+  // that fails ends the valid prefix, as a malformed line would: it and
+  // every kept record after it are dropped.
+  int num_plans = 0;
+  int num_entries = 0;
+  for (size_t r = 0; r < kept.size(); ++r) {
+    if (kept[r] == 'I') {
+      ++num_entries;
+      continue;
+    }
+    Status st = ValidateSnapshotPlan(
+        *(*plans)[static_cast<size_t>(num_plans)], *entries);
+    if (!st.ok()) {
+      report->records_dropped += static_cast<int>(kept.size() - r);
+      report->first_error = st.ToString();
+      plans->resize(static_cast<size_t>(num_plans));
+      entries->resize(static_cast<size_t>(num_entries));
+      report->plans_restored = num_plans;
+      report->entries_restored = num_entries;
+      break;
+    }
+    ++num_plans;
+  }
   return Status::OK();
 }
 

@@ -39,15 +39,18 @@ std::string SaveScrCache(const Scr& scr);
 /// Parses a snapshot into its plan and instance-entry lists without
 /// touching any Scr instance. Shared by LoadScrCache and the offline
 /// guarantee auditor (verify/guarantee_audit.h), which wants the raw
-/// records so it can report on entries Restore would reject.
+/// records so it can report on entries Restore would reject. Every plan
+/// must pass RecostProgram::Validate at the dimension of the instance
+/// entries, so a snapshot with plans but no entries is rejected too.
 Status ParseScrCacheSnapshot(const std::string& snapshot,
                              std::vector<PlanPtr>* plans,
                              std::vector<Scr::SnapshotEntry>* entries);
 
 /// Lenient variant for crash/corruption recovery: keeps every record up
-/// to the first malformed line (the valid prefix — what a crash mid-write
-/// or a flipped byte leaves behind) and reports what was dropped instead
-/// of failing the whole restore. Only the header must be intact.
+/// to the first malformed line or the first plan that fails the plan check
+/// above (the valid prefix — what a crash mid-write or a flipped byte
+/// leaves behind) and reports what was dropped instead of failing the
+/// whole restore. Only the header must be intact.
 Status ParseScrCacheSnapshotLenient(const std::string& snapshot,
                                     std::vector<PlanPtr>* plans,
                                     std::vector<Scr::SnapshotEntry>* entries,

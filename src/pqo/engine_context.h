@@ -21,7 +21,6 @@
 #include "obs/span.h"
 #include "optimizer/optimizer.h"
 #include "optimizer/recost.h"
-#include "optimizer/recost_bundle.h"
 #include "query/query_instance.h"
 
 namespace scrpqo {
@@ -47,13 +46,7 @@ class EngineContext {
   EngineContext(const Database* db, const Optimizer* optimizer)
       : db_(db),
         optimizer_(optimizer),
-        recost_service_(&optimizer->cost_model()),
-        // Kernel params and tier are invariant for the context's lifetime
-        // (cost params live in the optimizer, tier in the CPU): prepared
-        // once here, immutable afterwards, so concurrent RecostBundled
-        // readers share it without synchronization.
-        bundle_prepared_(
-            RecostBundle::Prepare(optimizer->cost_model().params())) {}
+        recost_service_(&optimizer->cost_model()) {}
 
   const Database& db() const { return *db_; }
   const Optimizer& optimizer() const { return *optimizer_; }
@@ -123,11 +116,11 @@ class EngineContext {
     return cost;
   }
 
-  /// Batched Recost (see RecostService::RecostMany): one call, N program
-  /// scans in 4-way pipelined blocks, visitor-controlled early exit. Each
-  /// visited plan is charged as one Recost call; the whole batch records
-  /// one latency sample ("engine.recost_batch_micros") and lands in the
-  /// span's batch_recost stage.
+  /// Batched Recost (see RecostService::RecostMany): one call, one program
+  /// scan per plan, visitor-controlled early exit. Each visited plan is
+  /// charged as one Recost call; the whole batch records one latency
+  /// sample ("engine.recost_batch_micros") and lands in the span's
+  /// batch_recost stage.
   template <typename Visitor>
   SCRPQO_HOT SCRPQO_NOALLOC SCRPQO_NONBLOCKING SCRPQO_FP_DETERMINISTIC
   SCRPQO_LOCK_BOUNDED()
@@ -151,34 +144,6 @@ class EngineContext {
     return scanned;
   }
 
-  /// SIMD-bundled Recost: evaluates `plan_ids` (all packed in `bundle`)
-  /// through grouped 4-lane passes, same visitor contract and billing as
-  /// RecostMany. The caller owns the bundle (PlanStore) and must hold its
-  /// shared lock across the call.
-  template <typename Visitor>
-  SCRPQO_HOT SCRPQO_NOALLOC SCRPQO_NONBLOCKING SCRPQO_FP_DETERMINISTIC
-  SCRPQO_LOCK_BOUNDED()
-  size_t RecostBundled(const RecostBundle& bundle,
-                       std::span<const int> plan_ids, const SVector& sv,
-                       std::span<double> out_costs, Visitor&& visit) {
-    StageTimer timer(Stage::kBatchRecost, recost_batch_micros_);
-    size_t visited;
-    if (FaultRegistry::Global().enabled()) [[unlikely]] {
-      visited = bundle.EvalMany(plan_ids, sv, bundle_prepared_, out_costs,
-                                [&](size_t i, double c) {
-                                  return visit(i, ApplyRecostFaults(c));
-                                });
-    } else {
-      visited = bundle.EvalMany(plan_ids, sv, bundle_prepared_, out_costs,
-                                std::forward<Visitor>(visit));
-    }
-    recost_service_.ChargeCalls(static_cast<int64_t>(visited));
-    if (recost_calls_ != nullptr) {
-      recost_calls_->Increment(static_cast<int64_t>(visited));
-    }
-    return visited;
-  }
-
   size_t RecostMany(std::span<const CachedPlan* const> plans,
                     const SVector& sv, std::span<double> out_costs) {
     return RecostMany(plans, sv, out_costs,
@@ -186,7 +151,8 @@ class EngineContext {
   }
 
   /// Uncharged recost used by evaluation machinery (computing SO of the
-  /// chosen plan) — not part of any technique's overhead.
+  /// chosen plan) — not part of any technique's overhead. Walks the plan
+  /// tree (the CostModel oracle), not the compiled program.
   [[nodiscard]] double RecostUncharged(const CachedPlan& plan,
                                        const SVector& sv) const {
     return optimizer_->cost_model().RecostTree(*plan.plan, sv);
@@ -253,8 +219,6 @@ class EngineContext {
   const Database* db_;
   const Optimizer* optimizer_;
   RecostService recost_service_;
-  /// Set in the constructor, never mutated (see ctor comment).
-  const RecostBundle::Prepared bundle_prepared_;
   OptimizeOracle oracle_;
   /// Relaxed atomic: Optimize runs un-serialized on the concurrent getPlan
   /// miss path, so several threads may bump this at once.

@@ -25,12 +25,11 @@ PlanStore::StoreResult PlanStore::StoreOrReuse(const CachedPlan& plan,
 
   if (lambda_r >= 1.0 && num_live_ > 0) {
     // Redundancy check: one batched Recost sweep over the live cached
-    // plans (one sVector bind, N program scans — grouped 4-lane bundle
-    // passes when every live plan is packed, pipelined blocks otherwise).
-    // The sweep stops as soon as the running best is already within
-    // lambda_r of optimal — the plan will be rejected either way, and the
-    // entry records that plan's measured sub-optimality, so the lambda
-    // guarantee is unaffected by not scanning the tail.
+    // plans, one program scan each. The sweep stops as soon as the running
+    // best is already within lambda_r of optimal — the plan will be
+    // rejected either way, and the entry records that plan's measured
+    // sub-optimality, so the lambda guarantee is unaffected by not
+    // scanning the tail.
     ScratchArena& arena = ScratchArena::Tls();
     ScratchArena::Scope scope(arena);
     ArenaVec<const CachedPlan*> live_plans(
@@ -55,17 +54,10 @@ PlanStore::StoreResult PlanStore::StoreOrReuse(const CachedPlan& plan,
       }
       return min_cost > early_exit_below;
     };
-    std::span<double> cost_span(costs.data(), costs.size());
-    if (BundleComplete()) {
-      engine->RecostBundled(
-          bundle_, std::span<const int>(live_ids.data(), live_ids.size()),
-          sv, cost_span, sweep_visitor);
-    } else {
-      engine->RecostMany(
-          std::span<const CachedPlan* const>(live_plans.data(),
-                                             live_plans.size()),
-          sv, cost_span, sweep_visitor);
-    }
+    engine->RecostMany(
+        std::span<const CachedPlan* const>(live_plans.data(),
+                                           live_plans.size()),
+        sv, std::span<double>(costs.data(), costs.size()), sweep_visitor);
     if (min_pos < live_plans.size() && opt_cost > 0.0) {
       double s_min = min_cost / opt_cost;
       if (s_min <= lambda_r) {
@@ -87,12 +79,6 @@ PlanStore::StoreResult PlanStore::StoreOrReuse(const CachedPlan& plan,
   by_signature_[plan.signature] = id;
   ++num_live_;
   peak_ = std::max(peak_, num_live_);
-  // Pack the stored plan's program into the SIMD bundle. The program's
-  // address is stable: entries are never erased (Drop only marks dead)
-  // and the CachedPlan sits behind a shared_ptr.
-  if (!bundle_.Add(id, &entries_[static_cast<size_t>(id)].plan->program)) {
-    ++num_unbundled_;
-  }
   result.plan_id = id;
   result.subopt = 1.0;
   return result;
@@ -112,11 +98,7 @@ void PlanStore::Drop(int plan_id) {
   e.live = false;
   --num_live_;
   by_signature_.erase(e.plan->signature);
-  if (bundle_.Contains(plan_id)) {
-    bundle_.Remove(plan_id);
-  } else {
-    --num_unbundled_;
-  }
+  e.plan.reset();
 }
 
 int PlanStore::MinUsagePlanId(int exclude_plan_id) const {

@@ -17,7 +17,6 @@
 #include "common/atomics.h"
 #include "common/status.h"
 #include "optimizer/recost.h"
-#include "optimizer/recost_bundle.h"
 #include "pqo/engine_context.h"
 
 namespace scrpqo {
@@ -25,6 +24,7 @@ namespace scrpqo {
 class PlanStore {
  public:
   struct Entry {
+    /// Null once the entry is dead: Drop releases the store's reference.
     std::shared_ptr<const CachedPlan> plan;
     /// Aggregate usage across instance entries pointing at this plan (for
     /// LFU eviction under a plan budget). Bumped from the concurrent
@@ -57,7 +57,8 @@ class PlanStore {
                            EngineContext* engine);
 
   /// Bounds-checked entry access. Dead entries remain readable (callers
-  /// filter on `.live`); only ids never handed out by StoreOrReuse abort.
+  /// filter on `.live`) but hold a null `plan`; only ids never handed out
+  /// by StoreOrReuse abort.
   const Entry& entry(int plan_id) const {
     CheckId(plan_id);
     return entries_[static_cast<size_t>(plan_id)];
@@ -76,8 +77,10 @@ class PlanStore {
   /// Live plan ids.
   std::vector<int> LivePlanIds() const;
 
-  /// Marks a plan dead (budget eviction). The caller is responsible for
-  /// removing instance entries that point at it.
+  /// Marks a plan dead (budget eviction) and releases the store's
+  /// reference to it, so the CachedPlan is freed once no PlanChoice holds
+  /// it. The caller is responsible for removing instance entries that
+  /// point at it.
   void Drop(int plan_id);
 
   /// Live plan with the minimum total usage (LFU victim), -1 if none.
@@ -94,24 +97,6 @@ class PlanStore {
   int64_t NumLive() const { return num_live_; }
   int64_t Peak() const { return peak_; }
 
-  /// The SIMD recost bundle packing the live plans' flat programs,
-  /// maintained by StoreOrReuse/Drop. Readers (SCR's cost check) must
-  /// hold the owning technique's shared lock.
-  const RecostBundle& bundle() const { return bundle_; }
-
-  /// True when every live plan is packed in bundle() — the precondition
-  /// for serving a sweep or cost check entirely from the bundle. False
-  /// while any live plan was rejected by RecostBundle::Add (hand-built /
-  /// restored plans with no compiled program, or programs too long to
-  /// pack); those revert the affected sweeps to the scalar path.
-  bool BundleComplete() const { return num_unbundled_ == 0; }
-
-  /// Wires the bundle's batching telemetry ("recost.lanes_active",
-  /// "recost.bundle_rebuilds"); either may be nullptr.
-  void SetObsCounters(Counter* lanes_active, Counter* bundle_rebuilds) {
-    bundle_.SetObsCounters(lanes_active, bundle_rebuilds);
-  }
-
  private:
   void CheckId(int plan_id) const {
     SCRPQO_CHECK(plan_id >= 0 &&
@@ -123,9 +108,6 @@ class PlanStore {
   std::map<uint64_t, int> by_signature_;
   int64_t num_live_ = 0;
   int64_t peak_ = 0;
-  RecostBundle bundle_;
-  /// Live plans RecostBundle::Add rejected (see BundleComplete).
-  int64_t num_unbundled_ = 0;
 };
 
 }  // namespace scrpqo

@@ -81,15 +81,12 @@ void Scr::SetObs(const ObsHooks& hooks) {
     cost_check_candidates_ =
         obs_.metrics->histogram("scr.cost_check_candidates");
     stage_hists_ = StageHistograms::FromRegistry(obs_.metrics);
-    store_.SetObsCounters(obs_.metrics->counter("recost.lanes_active"),
-                          obs_.metrics->counter("recost.bundle_rebuilds"));
   } else {
     for (Counter*& c : decision_counters_) c = nullptr;
     get_plan_micros_ = nullptr;
     manage_cache_micros_ = nullptr;
     cost_check_candidates_ = nullptr;
     stage_hists_.Reset();
-    store_.SetObsCounters(nullptr, nullptr);
   }
 }
 
@@ -231,9 +228,9 @@ bool Scr::TryReuse(const WorkloadInstance& wi, EngineContext* engine,
 
   // scrpqo-lint: hot-path begin
   // Everything below runs once per query on the reuse path; after warm-up
-  // it must not touch the heap (recost_bundle_test.cc asserts this with
-  // the arena watermark). Scratch lives in the thread's arena and dies
-  // when this scope unwinds.
+  // it must not touch the heap (ScrZeroAllocTest in recost_test.cc asserts
+  // this with the arena watermark). Scratch lives in the thread's arena and
+  // dies when this scope unwinds.
   ScratchArena& arena = ScratchArena::Tls();
   ScratchArena::Scope arena_scope(arena);
 
@@ -380,12 +377,10 @@ bool Scr::TryReuse(const WorkloadInstance& wi, EngineContext* engine,
   if (cost_check_candidates_ != nullptr) {
     cost_check_candidates_->Record(static_cast<double>(candidates.size()));
   }
-  // One batched Recost sweep: the sVector is bound once and each candidate
-  // costs one flat program scan, in the heuristic order fixed above —
-  // grouped 4-lane bundle passes when every cached plan is packed,
-  // pipelined blocks otherwise. The visitor stops the sweep at the first
-  // candidate that passes its bound, and both forms bill visited plans
-  // only, so the Recost-call count is identical to the old
+  // One batched Recost sweep: each candidate costs one flat program scan,
+  // in the heuristic order fixed above. The visitor stops the sweep at the
+  // first candidate that passes its bound, and only visited plans are
+  // billed, so the Recost-call count is identical to the
   // one-call-per-loop form (Section 7.3's overhead accounting depends on
   // this).
   int recosts = 0;
@@ -440,26 +435,15 @@ bool Scr::TryReuse(const WorkloadInstance& wi, EngineContext* engine,
       }
       return true;
     };
-    if (store_.BundleComplete()) {
-      ArenaVec<int> cand_ids(arena, candidates.size());
-      for (const Candidate& c : candidates) {
-        cand_ids.push_back(instances_[c.entry].plan_id);
-      }
-      engine->RecostBundled(
-          store_.bundle(),
-          std::span<const int>(cand_ids.data(), cand_ids.size()), sv,
-          cost_span, cost_visitor);
-    } else {
-      ArenaVec<const CachedPlan*> cand_plans(arena, candidates.size());
-      for (const Candidate& c : candidates) {
-        cand_plans.push_back(
-            store_.entry(instances_[c.entry].plan_id).plan.get());
-      }
-      engine->RecostMany(
-          std::span<const CachedPlan* const>(cand_plans.data(),
-                                             cand_plans.size()),
-          sv, cost_span, cost_visitor);
+    ArenaVec<const CachedPlan*> cand_plans(arena, candidates.size());
+    for (const Candidate& c : candidates) {
+      cand_plans.push_back(
+          store_.entry(instances_[c.entry].plan_id).plan.get());
     }
+    engine->RecostMany(
+        std::span<const CachedPlan* const>(cand_plans.data(),
+                                           cand_plans.size()),
+        sv, cost_span, cost_visitor);
     // Reuse the engine's batch_recost stop stamp; only when its timer was
     // unarmed (engine without metrics, no span) is the clock read here.
     if (start_ns >= 0) end_ns = ObsClock::NowAfter(end_ns);

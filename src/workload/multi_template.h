@@ -2,7 +2,7 @@
 // threads over a fleet of query templates, the deployment shape the paper's
 // Section 2 abstracts away (it fixes ONE template Q; a real service serves
 // many concurrently). Used by tests/pqo_manager_concurrent_test.cc and
-// bench/bench_throughput_multitemplate.cpp.
+// tests/chaos_serving_test.cc.
 #pragma once
 
 #include <cstdint>

@@ -2,7 +2,9 @@
 
 #include <cstdio>
 #include <fstream>
+#include <iterator>
 #include <memory>
+#include <regex>
 #include <string>
 #include <vector>
 
@@ -279,6 +281,172 @@ TEST_F(CachePersistenceTest, LenientRestoreRejectsEntryBeforeItsPlan) {
   ASSERT_TRUE(LoadScrCacheLenient(snapshot, &fresh, &report).ok());
   EXPECT_EQ(report.entries_restored, 0);
   EXPECT_EQ(report.records_dropped, 1);
+}
+
+// --- plans that cannot be recosted: rejected or dropped, never an abort ---
+
+/// `snapshot` with `pattern`'s first match inside its `P` record number
+/// `ordinal` replaced by `replacement` (ECMAScript $n references allowed).
+std::string EditPlan(const std::string& snapshot, int ordinal,
+                     const std::string& pattern,
+                     const std::string& replacement) {
+  size_t begin = snapshot.find("\nP ") + 1;
+  for (int i = 0; i < ordinal; ++i) begin = snapshot.find("\nP ", begin) + 1;
+  const size_t end = snapshot.find('\n', begin);
+  const std::string plan = snapshot.substr(begin, end - begin);
+  const std::string edited =
+      std::regex_replace(plan, std::regex(pattern), replacement,
+                         std::regex_constants::format_first_only);
+  EXPECT_NE(edited, plan) << "pattern " << pattern << " did not match";
+  return snapshot.substr(0, begin) + edited + snapshot.substr(end);
+}
+
+/// A parameterized predicate's slot: `{"column" op slot `, the slot a
+/// non-negative number; group 1 is everything before it.
+constexpr char kParamSlot[] = R"((\{"[^"]*" [0-9]+ )[0-9]+ )";
+
+class CorruptPlanSnapshotTest : public CachePersistenceTest {
+ protected:
+  /// A real 2-d snapshot; its first plan is what the edits corrupt.
+  std::string Snapshot() {
+    Scr scr(ScrOptions{.lambda = 1.5});
+    EngineContext engine(&db_, &optimizer_);
+    Warm(&scr, &engine, 60);
+    return SaveScrCache(scr);
+  }
+
+  /// The strict loader refuses `snapshot`; the lenient one keeps no plan
+  /// (the bad one comes first, so the valid prefix holds no plan) and the
+  /// cold cache still serves.
+  void ExpectRejected(const std::string& snapshot) {
+    Scr strict(ScrOptions{.lambda = 1.5});
+    Status st = LoadScrCache(snapshot, &strict);
+    EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << st.ToString();
+
+    Scr lenient(ScrOptions{.lambda = 1.5});
+    SnapshotRestoreReport report;
+    st = LoadScrCacheLenient(snapshot, &lenient, &report);
+    ASSERT_TRUE(st.ok()) << st.ToString();
+    EXPECT_EQ(report.plans_restored, 0);
+    EXPECT_EQ(report.entries_restored, 0);
+    EXPECT_GT(report.records_dropped, 0);
+    EXPECT_FALSE(report.first_error.empty());
+    EXPECT_EQ(lenient.NumPlansCached(), 0);
+    EngineContext engine(&db_, &optimizer_);
+    PlanChoice c = lenient.OnInstance(MakeWi(9000, 0.3, 0.6), &engine);
+    EXPECT_NE(c.plan, nullptr);
+  }
+};
+
+TEST_F(CorruptPlanSnapshotTest, ChildlessJoinIsRejected) {
+  // The first leaf becomes a HashJoin (kind 4) with no children; Compile
+  // used to abort on it ("join requires two children").
+  ExpectRejected(EditPlan(Snapshot(), 0, R"(\([0-9]+ leaf\[([0-9]+) ")",
+                          "(4 leaf[$1 \""));
+}
+
+TEST_F(CorruptPlanSnapshotTest, ParamSlotBeyondDimensionIsRejected) {
+  // Slot 7 on a 2-d template; the tree walker used to abort on it in
+  // CostModel::PredSelectivity.
+  ExpectRejected(EditPlan(Snapshot(), 0, kParamSlot, "$017 "));
+}
+
+TEST_F(CorruptPlanSnapshotTest, NegativeParamSlotIsRejected) {
+  // Slot -5 counts as parameterized (only -1 means literal), so the flat
+  // program would read sv[-5].
+  ExpectRejected(EditPlan(Snapshot(), 0, kParamSlot, "$01-5 "));
+}
+
+TEST_F(CorruptPlanSnapshotTest, PlansWithoutEntriesAreRejected) {
+  // No instance entry means no dimension to check the slots against.
+  const std::string snapshot = Snapshot();
+  const std::string plans_only = snapshot.substr(0, snapshot.find("\nI ") + 1);
+  ExpectRejected(plans_only);
+}
+
+TEST_F(CorruptPlanSnapshotTest, LenientRestoreKeepsPlansBeforeTheBadOne) {
+  const std::string snapshot = Snapshot();
+  ASSERT_NE(snapshot.find("\nP ", snapshot.find("\nP ") + 1),
+            std::string::npos)
+      << "need two plans";
+  // Corrupt the second plan: the first survives, with no entries (they
+  // follow every plan in the file).
+  const std::string edited = EditPlan(snapshot, 1, kParamSlot, "$017 ");
+  Scr lenient(ScrOptions{.lambda = 1.5});
+  SnapshotRestoreReport report;
+  ASSERT_TRUE(LoadScrCacheLenient(edited, &lenient, &report).ok());
+  EXPECT_EQ(report.plans_restored, 1);
+  EXPECT_EQ(report.entries_restored, 0);
+  EXPECT_EQ(lenient.NumPlansCached(), 1);
+}
+
+TEST_F(CachePersistenceTest, MutatedSnapshotsLoadOrFailAndServe) {
+  // Seeded byte-level mutations of a real snapshot (the trace parser's
+  // pattern): erase, insert, overwrite, or splice in a token that breaks
+  // a field's range. Both loaders must return a Status, never abort, and
+  // every cache either one loads must serve a fixed probe set.
+  static const char* const kSplices[] = {"-5", "7", "(4", "-1", "99999999999",
+                                         "nan", "inf", "e300", " ", "\n",
+                                         "{", ")", "P ", "I "};
+  Scr scr(ScrOptions{.lambda = 1.5});
+  EngineContext warm(&db_, &optimizer_);
+  Warm(&scr, &warm, 60);
+  const std::string snapshot = SaveScrCache(scr);
+  std::vector<WorkloadInstance> probes;
+  for (double s : {0.01, 0.2, 0.5, 0.9}) {
+    probes.push_back(MakeWi(static_cast<int>(probes.size()), s, 1.0 - s));
+  }
+  Pcg32 rng(20170514);
+  int strict_loaded = 0;
+  int lenient_loaded = 0;
+  constexpr int kMutations = 3000;
+  for (int i = 0; i < kMutations; ++i) {
+    std::string mutated = snapshot;
+    const int edits = 1 + static_cast<int>(rng.UniformInt(0, 3));
+    for (int e = 0; e < edits; ++e) {
+      const size_t pos = static_cast<size_t>(
+          rng.UniformInt(0, static_cast<int64_t>(mutated.size()) - 1));
+      switch (rng.UniformInt(0, 3)) {
+        case 0:
+          mutated.erase(pos, 1);
+          break;
+        case 1:
+          mutated.insert(pos, 1, static_cast<char>(rng.UniformInt(32, 126)));
+          break;
+        case 2:
+          mutated[pos] = static_cast<char>(rng.UniformInt(0, 255));
+          break;
+        default:
+          mutated.insert(pos, kSplices[rng.UniformInt(
+                                  0, static_cast<int64_t>(
+                                         std::size(kSplices)) - 1)]);
+          break;
+      }
+      if (mutated.empty()) mutated = "\n";
+    }
+    auto serve = [&](Scr* loaded) {
+      EngineContext engine(&db_, &optimizer_);
+      for (const WorkloadInstance& wi : probes) {
+        PlanChoice c = loaded->OnInstance(wi, &engine);
+        EXPECT_NE(c.plan, nullptr) << "mutation " << i;
+      }
+    };
+    Scr strict(ScrOptions{.lambda = 1.5});
+    if (LoadScrCache(mutated, &strict).ok()) {
+      ++strict_loaded;
+      serve(&strict);
+    }
+    Scr lenient(ScrOptions{.lambda = 1.5});
+    SnapshotRestoreReport report;
+    if (LoadScrCacheLenient(mutated, &lenient, &report).ok()) {
+      ++lenient_loaded;
+      serve(&lenient);
+    }
+  }
+  // The sweep reaches both outcomes of both loaders.
+  EXPECT_GT(strict_loaded, 0);
+  EXPECT_LT(strict_loaded, kMutations);
+  EXPECT_GT(lenient_loaded, strict_loaded);
 }
 
 TEST_F(CachePersistenceTest, SaveIsAtomicAndDetectsWriteFailure) {

@@ -25,7 +25,7 @@ namespace scrpqo {
 namespace {
 
 // ---------------------------------------------------------------------------
-// RecostProgram evaluation kernels.
+// RecostProgram evaluation kernel.
 // ---------------------------------------------------------------------------
 
 static_assert(noexcept(std::declval<const RecostProgram&>().Run(
@@ -35,21 +35,13 @@ static_assert(noexcept(std::declval<const RecostProgram&>().Run(
               "proves it non-throwing (SCRPQO_NOTHROW) and RecostService's "
               "hot loop relies on it");
 
-static_assert(noexcept(RunRecostBlock(
-                  std::declval<const RecostProgram* const*>(), 4,
-                  std::declval<const SVector&>(),
-                  std::declval<const CostParams&>(),
-                  std::declval<double*>())),
-              "RunRecostBlock (the 4-way pipelined block interpreter) must "
-              "stay noexcept");
-
 static_assert(noexcept(RecostStepOp(std::declval<const RecostProgram::Op&>(),
                                     1.0, std::declval<const double*>(),
                                     std::declval<const CostParams&>(),
                                     std::declval<double*>(),
                                     std::declval<double*>(),
                                     std::declval<int&>())),
-              "RecostStepOp (the shared per-op dispatch) must stay noexcept");
+              "RecostStepOp (Run's per-op dispatch) must stay noexcept");
 
 // ---------------------------------------------------------------------------
 // SPSC event ring producer path.

@@ -306,7 +306,7 @@ TEST(DecisionEventStagesTest, StagesAndDroppedRoundTripThroughJsonl) {
 }
 
 TEST(DecisionEventStagesTest, BatchRecostStageIsNamedAndRoundTrips) {
-  // The bundled-sweep stage added for SIMD recost batching must be a
+  // The batched-sweep stage (EngineContext::RecostMany) must be a
   // first-class taxonomy member: stable wire name, serde round-trip, and
   // distinct from the scalar recost slot (trace_summarize attributes the
   // two separately).

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "pqo/plan_store.h"
 #include "query/query_instance.h"
 #include "tests/test_util.h"
@@ -116,6 +118,20 @@ TEST_F(PlanStoreTest, DroppedSignatureCanBeReinserted) {
   EXPECT_FALSE(r2.already_present);
   EXPECT_NE(r2.plan_id, r1.plan_id);
   EXPECT_EQ(store.NumLive(), 1);
+}
+
+TEST_F(PlanStoreTest, DropReleasesThePlan) {
+  PlanStore store;
+  Optimized o = OptimizeAt(0.2, 0.6);
+  auto r = store.StoreOrReuse(o.plan, o.sv, o.cost, -1.0, &engine_);
+  // Held the way a PlanChoice serving the plan holds it.
+  std::shared_ptr<const CachedPlan> served = store.entry(r.plan_id).plan;
+  std::weak_ptr<const CachedPlan> watch = served;
+  store.Drop(r.plan_id);
+  EXPECT_EQ(store.entry(r.plan_id).plan, nullptr);
+  EXPECT_FALSE(watch.expired()) << "a served plan must outlive its eviction";
+  served.reset();
+  EXPECT_TRUE(watch.expired()) << "the store kept an evicted plan alive";
 }
 
 TEST_F(PlanStoreTest, EntryOutOfRangeDies) {

@@ -225,5 +225,71 @@ TEST_F(RecostProgramTest, MaxBindingSlotAndEmpty) {
                "selectivity vector too short");
 }
 
+/// A table scan with one predicate on sVector slot `slot`.
+std::shared_ptr<PhysicalPlanNode> ScanLeaf(int slot = 0) {
+  auto leaf = std::make_shared<PhysicalPlanNode>();
+  leaf->kind = PhysicalOpKind::kTableScan;
+  leaf->leaf.table = "fact";
+  leaf->leaf.base_rows = 20000.0;
+  PredSpec pred;
+  pred.param_slot = slot;
+  leaf->leaf.preds.push_back(pred);
+  return leaf;
+}
+
+/// A right-deep hash-join chain over `leaves` scans: the scan holds one
+/// value per leaf before the first join pops, the deepest shape a plan
+/// with that many leaves can take.
+PlanPtr RightDeepJoins(int leaves) {
+  PlanPtr node = ScanLeaf();
+  for (int i = 1; i < leaves; ++i) {
+    auto join = std::make_shared<PhysicalPlanNode>();
+    join->kind = PhysicalOpKind::kHashJoin;
+    join->children = {ScanLeaf(), node};
+    node = join;
+  }
+  return node;
+}
+
+TEST_F(RecostProgramTest, CompileAbortsBeyondTheStackBound) {
+  // Every optimizer plan fits the fixed stack: kMaxPlanTables leaves.
+  const PlanPtr widest = RightDeepJoins(RecostProgram::kMaxStackDepth);
+  RecostProgram fits = RecostProgram::Compile(*widest);
+  CostModel model;
+  const SVector sv{0.4};
+  const double tree = model.RecostTree(*widest, sv);
+  EXPECT_NEAR(fits.Run(sv, model.params()), tree, tree * 1e-9);
+  // One leaf more would overrun Run's stack arrays.
+  const PlanPtr deeper = RightDeepJoins(RecostProgram::kMaxStackDepth + 1);
+  EXPECT_FALSE(RecostProgram::Validate(*deeper, 1).ok());
+  EXPECT_DEATH((void)RecostProgram::Compile(*deeper), "kMaxStackDepth");
+}
+
+TEST_F(RecostProgramTest, ValidateRejectsPlansCompileCannotTake) {
+  EXPECT_TRUE(RecostProgram::Validate(*ScanLeaf(1), 2).ok());
+  // A binding slot at or past the sVector's dimension, or below -1.
+  EXPECT_FALSE(RecostProgram::Validate(*ScanLeaf(2), 2).ok());
+  EXPECT_FALSE(RecostProgram::Validate(*ScanLeaf(-5), 2).ok());
+  // A join with no children, and a scan with one.
+  auto childless = std::make_shared<PhysicalPlanNode>();
+  childless->kind = PhysicalOpKind::kHashJoin;
+  EXPECT_FALSE(RecostProgram::Validate(*childless, 2).ok());
+  auto parent_scan = ScanLeaf();
+  parent_scan->children = {ScanLeaf()};
+  EXPECT_FALSE(RecostProgram::Validate(*parent_scan, 2).ok());
+  // A seek predicate outside the leaf's predicate list, also on an
+  // IndexedNLJ inner that the flat program elides.
+  auto seek = ScanLeaf();
+  seek->kind = PhysicalOpKind::kIndexSeek;
+  seek->leaf.seek_pred = 1;
+  EXPECT_FALSE(RecostProgram::Validate(*seek, 2).ok());
+  auto inlj = std::make_shared<PhysicalPlanNode>();
+  inlj->kind = PhysicalOpKind::kIndexedNestedLoopsJoin;
+  inlj->children = {ScanLeaf(), seek};
+  EXPECT_FALSE(RecostProgram::Validate(*inlj, 2).ok());
+  seek->leaf.seek_pred = 0;
+  EXPECT_TRUE(RecostProgram::Validate(*inlj, 2).ok());
+}
+
 }  // namespace
 }  // namespace scrpqo

@@ -1,11 +1,67 @@
+// The Recost API (paper Appendix B) and the allocation-free serving path
+// built on it. RecostService must agree with the optimizer and with the
+// CostModel::RecostTree oracle, bill exactly the plans its visitor sees,
+// and run on a fixed stack; the warmed getPlan reuse path around it must
+// not touch the heap (asserted through the ScratchArena watermark plus a
+// global operator-new counter).
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
+#include <cstdlib>
+#include <memory>
+#include <new>
+#include <span>
+#include <vector>
 
+#include "common/math_util.h"
+#include "common/rng.h"
+#include "common/scratch_arena.h"
+#include "obs/metrics_registry.h"
+#include "obs/ring_tracer.h"
+#include "obs/span.h"
 #include "optimizer/optimizer.h"
 #include "optimizer/recost.h"
+#include "pqo/pqo_manager.h"
+#include "pqo/scr.h"
 #include "query/query_instance.h"
 #include "tests/test_util.h"
+
+// ---------------------------------------------------------------------------
+// Global operator-new counter. Replacing the global allocator in one TU
+// covers the whole test binary; the override only counts and forwards, so
+// every other test is unaffected. The zero-allocation tests read the
+// counters around their measured windows: the process-wide one, or the
+// calling thread's own where background threads (the trace exporter,
+// AsyncScr workers) run alongside the serving thread.
+// ---------------------------------------------------------------------------
+
+static std::atomic<int64_t> g_heap_allocs{0};
+static thread_local int64_t t_heap_allocs = 0;
+
+static void* CountedAlloc(std::size_t n) {
+  g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
+  ++t_heap_allocs;
+  if (n == 0) n = 1;
+  void* p = std::malloc(n);
+  if (p == nullptr) throw std::bad_alloc();
+  return p;
+}
+
+void* operator new(std::size_t n) { return CountedAlloc(n); }
+void* operator new[](std::size_t n) { return CountedAlloc(n); }
+void* operator new(std::size_t n, const std::nothrow_t&) noexcept {
+  g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
+  ++t_heap_allocs;
+  return std::malloc(n == 0 ? 1 : n);
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept {
+  std::free(p);
+}
 
 namespace scrpqo {
 namespace {
@@ -118,6 +174,314 @@ TEST_F(RecostTest, CachedPlanSignatureMatchesPlan) {
   OptimizationResult r = optimizer_.Optimize(Instance(0.3, 0.3));
   CachedPlan cached = MakeCachedPlan(r);
   EXPECT_EQ(cached.signature, PlanSignatureHash(*r.plan));
+}
+
+// ---------------------------------------------------------------------------
+// RecostService::RecostMany: one Run per plan, stopped by the visitor.
+// ---------------------------------------------------------------------------
+
+using RecostServiceTest = RecostTest;
+
+TEST_F(RecostServiceTest, EarlyExitBillsVisitedPlansOnly) {
+  // Join-template plans at spread-out operating points.
+  Pcg32 rng(77);
+  std::vector<CachedPlan> plans;
+  for (int i = 0; i < 10; ++i) {
+    plans.push_back(MakeCachedPlan(optimizer_.Optimize(Instance(
+        rng.UniformDouble(0.001, 1.0), rng.UniformDouble(0.001, 1.0)))));
+  }
+  std::vector<const CachedPlan*> ptrs;
+  for (const CachedPlan& p : plans) ptrs.push_back(&p);
+  const CostParams& params = optimizer_.cost_model().params();
+  RecostService recost(&optimizer_.cost_model());
+  const SVector sv{0.25, 0.6};
+  for (size_t stop_at = 0; stop_at < plans.size(); ++stop_at) {
+    recost.ResetCounters();
+    std::vector<double> costs(plans.size(), -1.0);
+    size_t seen = 0;
+    size_t visited = recost.RecostMany(
+        ptrs, sv, std::span<double>(costs), [&](size_t idx, double) {
+          ++seen;
+          return idx != stop_at;  // stop after visiting stop_at
+        });
+    // Billing parity with the one-Recost-per-plan loop: exactly the plans
+    // the visitor saw.
+    EXPECT_EQ(visited, stop_at + 1);
+    EXPECT_EQ(seen, stop_at + 1);
+    EXPECT_EQ(recost.num_calls(), static_cast<int64_t>(stop_at + 1));
+    for (size_t i = 0; i < plans.size(); ++i) {
+      if (i <= stop_at) {
+        EXPECT_EQ(costs[i], plans[i].program.Run(sv, params)) << i;
+      } else {
+        EXPECT_EQ(costs[i], -1.0) << "plan " << i << " past the stop";
+      }
+    }
+  }
+}
+
+TEST_F(RecostServiceTest, DeepPlanRunsOnTheStackWithoutAllocating) {
+  // One scan under 100 Sorts: 101 ops at stack depth 1. Op count does not
+  // bound the value stack, leaves do, so this runs on Run's fixed arrays.
+  auto scan = std::make_shared<PhysicalPlanNode>();
+  scan->kind = PhysicalOpKind::kTableScan;
+  scan->leaf.table = "fact";
+  scan->leaf.base_rows = 20000.0;
+  PredSpec pred;
+  pred.param_slot = 0;
+  scan->leaf.preds.push_back(pred);
+  PlanPtr root = scan;
+  for (int i = 0; i < 100; ++i) {
+    auto sort = std::make_shared<PhysicalPlanNode>();
+    sort->kind = PhysicalOpKind::kSort;
+    sort->children.push_back(root);
+    root = sort;
+  }
+  OptimizationResult result;
+  result.plan = root;
+  const CachedPlan cached = MakeCachedPlan(result);
+  ASSERT_EQ(cached.program.num_nodes(), 101);
+  RecostService recost(&optimizer_.cost_model());
+  const SVector sv{0.3, 0.7};
+  const int64_t allocs_before = t_heap_allocs;
+  const double cost = recost.Recost(cached, sv);
+  EXPECT_EQ(t_heap_allocs, allocs_before) << "deep plan recost hit the heap";
+  const double tree = optimizer_.cost_model().RecostTree(*root, sv);
+  EXPECT_NEAR(cost, tree, tree * 1e-9);
+}
+
+// ---------------------------------------------------------------------------
+// ComputeGlFast: the 4-lane unrolled selectivity check must agree with the
+// scalar ComputeGl to 1e-9 relative (the lanes only reorder multiplies).
+// ---------------------------------------------------------------------------
+
+TEST(ComputeGlFastTest, MatchesScalarComputeGl) {
+  Pcg32 rng(1234);
+  for (int dims = 1; dims <= 19; ++dims) {
+    for (int rep = 0; rep < 50; ++rep) {
+      std::vector<double> from(static_cast<size_t>(dims));
+      std::vector<double> to(static_cast<size_t>(dims));
+      for (int i = 0; i < dims; ++i) {
+        // Includes sub-floor values so the kSelectivityFloor clamp path is
+        // exercised on both sides.
+        from[static_cast<size_t>(i)] =
+            rng.UniformDouble() < 0.1 ? 1e-12 : rng.UniformDouble(1e-6, 1.0);
+        to[static_cast<size_t>(i)] =
+            rng.UniformDouble() < 0.1 ? 0.0 : rng.UniformDouble(1e-6, 1.0);
+      }
+      GlFactors slow = ComputeGl(from, to);
+      GlFactors fast = ComputeGlFast(from, to);
+      EXPECT_NEAR(fast.g, slow.g, slow.g * 1e-9) << "dims=" << dims;
+      EXPECT_NEAR(fast.l, slow.l, slow.l * 1e-9) << "dims=" << dims;
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Warmed getPlan reuse path performs zero heap allocations: the arena
+// watermark stays flat AND the global operator-new counter stays flat
+// across a window of reuse hits.
+// ---------------------------------------------------------------------------
+
+/// The zero-allocation workload: a join template over a small database,
+/// warm-up traffic that populates the cache, and probes that resolve on
+/// the reuse path.
+struct ReuseWorkload {
+  Database db = testing::MakeSmallDatabase(20000, 500);
+  std::shared_ptr<QueryTemplate> tmpl = testing::MakeJoinTemplate();
+  Optimizer optimizer{&db};
+
+  WorkloadInstance Make(int id, double s0, double s1) const {
+    WorkloadInstance wi;
+    wi.id = id;
+    wi.instance = InstanceForSelectivities(db, *tmpl, {s0, s1});
+    wi.svector = ComputeSelectivityVector(db, wi.instance);
+    return wi;
+  }
+
+  std::vector<WorkloadInstance> Warm() const {
+    std::vector<WorkloadInstance> out;
+    Pcg32 rng(9);
+    for (int i = 0; i < 60; ++i) {
+      out.push_back(Make(i, rng.UniformDouble(0.01, 0.95),
+                         rng.UniformDouble(0.01, 0.95)));
+    }
+    return out;
+  }
+
+  std::vector<WorkloadInstance> Probes() const {
+    std::vector<WorkloadInstance> out;
+    Pcg32 rng(21);
+    for (int i = 0; i < 16; ++i) {
+      out.push_back(Make(1000 + i, rng.UniformDouble(0.05, 0.9),
+                         rng.UniformDouble(0.05, 0.9)));
+    }
+    return out;
+  }
+};
+
+TEST(ScrZeroAllocTest, WarmedReusePathAllocatesNothing) {
+  ReuseWorkload w;
+  EngineContext engine(&w.db, &w.optimizer);
+  ScrOptions opts;
+  opts.lambda = 3.0;
+  opts.use_spatial_index = true;
+  Scr scr(opts);
+
+  // Warm-up traffic: populate the cache and the kd-tree.
+  for (const WorkloadInstance& wi : w.Warm()) scr.OnInstance(wi, &engine);
+
+  // Probes that resolve on the reuse path (hit or miss both stay inside
+  // TryReuse — no optimizer call happens there). One priming pass grows
+  // the arena to this workload's high-water mark.
+  const std::vector<WorkloadInstance> probes = w.Probes();
+  int hits = 0;
+  for (const auto& wi : probes) {
+    PlanChoice choice;
+    if (scr.TryReuse(wi, &engine, &choice)) ++hits;
+  }
+  ASSERT_GT(hits, 0) << "warm-up produced no reusable coverage";
+
+  // Measured window: watermark and allocation count must not move.
+  int64_t watermark_before = ScratchArena::Tls().watermark();
+  int64_t allocs_before = g_heap_allocs.load(std::memory_order_relaxed);
+  for (int rep = 0; rep < 20; ++rep) {
+    for (const auto& wi : probes) {
+      PlanChoice choice;
+      (void)scr.TryReuse(wi, &engine, &choice);
+    }
+  }
+  int64_t allocs_after = g_heap_allocs.load(std::memory_order_relaxed);
+  int64_t watermark_after = ScratchArena::Tls().watermark();
+  EXPECT_EQ(watermark_after, watermark_before)
+      << "warmed reuse path grew the scratch arena";
+  EXPECT_EQ(allocs_after, allocs_before)
+      << "warmed reuse path hit the heap";
+}
+
+TEST(ScrZeroAllocTest, TracedReusePathAllocatesNothing) {
+  // Production observability attached: every hit emits a DecisionEvent
+  // and updates counters and histograms. The serving thread's share is a
+  // fixed-size copy into its own ring, so warmed hits still allocate
+  // nothing on the calling thread (the exporter drains on its own).
+  ReuseWorkload w;
+  EngineContext engine(&w.db, &w.optimizer);
+  RingTracer tracer;
+  MetricsRegistry registry;
+  engine.SetObs(&registry);
+  ScrOptions opts;
+  opts.lambda = 3.0;
+  opts.use_spatial_index = true;
+  Scr scr(opts);
+  scr.SetObs(ObsHooks{&tracer, &registry});
+  for (const WorkloadInstance& wi : w.Warm()) scr.OnInstance(wi, &engine);
+
+  // Priming pass: registers this thread's ring and grows the arena.
+  std::vector<WorkloadInstance> hits;
+  for (const WorkloadInstance& wi : w.Probes()) {
+    PlanChoice choice;
+    if (scr.TryReuse(wi, &engine, &choice)) hits.push_back(wi);
+  }
+  ASSERT_FALSE(hits.empty()) << "warm-up produced no reusable coverage";
+  ASSERT_TRUE(tracer.Flush().ok());
+  const int64_t traced_before = tracer.total_recorded() + tracer.dropped();
+
+  const int64_t allocs_before = t_heap_allocs;
+  for (int rep = 0; rep < 20; ++rep) {
+    for (const WorkloadInstance& wi : hits) {
+      PlanChoice choice;
+      EXPECT_TRUE(scr.TryReuse(wi, &engine, &choice));
+    }
+  }
+  EXPECT_EQ(t_heap_allocs, allocs_before)
+      << "traced reuse path hit the heap on the serving thread";
+  ASSERT_TRUE(tracer.Flush().ok());
+  EXPECT_EQ(tracer.total_recorded() + tracer.dropped() - traced_before,
+            static_cast<int64_t>(20 * hits.size()))
+      << "every measured hit is traced";
+}
+
+/// A PqoManager over AsyncScr with production observability, warmed on
+/// the workload, plus the probes that it serves as hits.
+struct RoutedTracedServing {
+  explicit RoutedTracedServing(const ReuseWorkload& w)
+      : engine(&w.db, &w.optimizer), manager(Options()) {
+    engine.SetObs(&registry);
+    manager.SetObs(ObsHooks{&tracer, &registry});
+    for (const WorkloadInstance& wi : w.Warm()) {
+      manager.OnInstance(key, wi, &engine);
+      manager.FlushAll();
+    }
+    // Two passes: misses of the first feed the cache; the second keeps
+    // the probes that now hit and warms this thread's ring and arena.
+    for (int pass = 0; pass < 2; ++pass) {
+      hits.clear();
+      for (const WorkloadInstance& wi : w.Probes()) {
+        PlanChoice c = manager.OnInstance(key, wi, &engine);
+        if (!c.optimized && !c.degraded) hits.push_back(wi);
+      }
+      manager.FlushAll();
+    }
+  }
+
+  static PqoManagerOptions Options() {
+    PqoManagerOptions opts;
+    opts.use_async = true;
+    opts.default_lambda = 2.0;
+    opts.num_shards = 2;
+    return opts;
+  }
+
+  const std::string key = "join";
+  RingTracer tracer;
+  MetricsRegistry registry;
+  EngineContext engine;
+  PqoManager manager;
+  std::vector<WorkloadInstance> hits;
+};
+
+TEST(ScrZeroAllocTest, TracedRoutedPathAllocatesNothing) {
+  // The routed product decision — template lookup, AsyncScr's shared
+  // lock, the checks and the emit — with a tracer and metrics attached.
+  ReuseWorkload w;
+  RoutedTracedServing serving(w);
+  ASSERT_FALSE(serving.hits.empty());
+  const int64_t allocs_before = t_heap_allocs;
+  for (int rep = 0; rep < 20; ++rep) {
+    for (const WorkloadInstance& wi : serving.hits) {
+      PlanChoice c = serving.manager.OnInstance(serving.key, wi,
+                                                &serving.engine);
+      EXPECT_FALSE(c.optimized);
+    }
+  }
+  EXPECT_EQ(t_heap_allocs, allocs_before)
+      << "traced routed hits hit the heap on the serving thread";
+}
+
+TEST(TracedDecisionClockTest, RoutedHitsReuseStageStamps) {
+  // Tracing reads the clock only in the stage timers: the attempt's
+  // start, the event's wall time and scr.get_plan_micros reuse their
+  // stamps. A routed sel-check hit reads it 4 times (shard wait and
+  // sel_check, start and stop), a cost-check hit 6 (plus batch_recost).
+  ReuseWorkload w;
+  RoutedTracedServing serving(w);
+  int sel_hits = 0;
+  int cost_hits = 0;
+  for (const WorkloadInstance& wi : serving.hits) {
+    const uint64_t before = ObsClock::Reads();
+    PlanChoice c = serving.manager.OnInstance(serving.key, wi,
+                                              &serving.engine);
+    const uint64_t reads = ObsClock::Reads() - before;
+    ASSERT_FALSE(c.optimized);
+    if (c.recost_calls_in_get_plan == 0) {
+      ++sel_hits;
+      EXPECT_LE(reads, 4u) << "sel-check hit, instance " << wi.id;
+    } else {
+      ++cost_hits;
+      EXPECT_LE(reads, 6u) << "cost-check hit, instance " << wi.id;
+    }
+  }
+  EXPECT_GT(sel_hits, 0);
+  EXPECT_GT(cost_hits, 0);
 }
 
 }  // namespace

@@ -134,7 +134,7 @@ FP_RAND_FUNCS = {"rand", "srand", "random", "drand48", "lrand48"}
 # Correctly-rounded IEEE ops (sqrt, fabs, fma, ...) are reproducible;
 # these are the libm calls whose results may differ between libms /
 # vector paths, so they are only allowed inside src/common/simd.h where
-# every dispatch tier funnels through one definition.
+# every caller funnels through one definition.
 FP_LIBM_TRANSCENDENTALS = {
     "exp", "exp2", "expm1", "log", "log2", "log10", "log1p", "pow",
     "sin", "cos", "tan", "asin", "acos", "atan", "atan2",
@@ -142,12 +142,8 @@ FP_LIBM_TRANSCENDENTALS = {
 }
 INTRINSIC_RE = re.compile(r"\b(?:_mm\d*_\w+|vmulq_\w+|vaddq_\w+|vfmaq_\w+|"
                           r"vld1q_\w+|vst1q_\w+|vmaxq_\w+|vbslq_\w+)\b")
-# TUs sanctioned to contain raw intrinsics (runtime dispatch funnels).
-FP_INTRINSIC_SANCTIONED = (
-    "src/common/simd.h",
-    "src/optimizer/recost_bundle_avx2.cc",
-    "src/optimizer/recost_bundle_avx512.cc",
-)
+# TUs sanctioned to contain raw intrinsics.
+FP_INTRINSIC_SANCTIONED = ("src/common/simd.h",)
 # Files sanctioned to call raw libm transcendentals (the Vec* wrappers).
 FP_LIBM_SANCTIONED = ("src/common/simd.h",)
 
@@ -912,7 +908,7 @@ def _extract_body(model: Model, src: SourceFile, toks: list[Token],
 
         # Call site: IDENT '(' — or IDENT '<' targs '>' '(' with explicit
         # template arguments (AllocateArray<uint8_t>(n), make_unique<T>(),
-        # EvalGroupNbT<V, 1>(...)). The angle scan accepts only type-like
+        # std::max<double>(a, b)). The angle scan accepts only type-like
         # tokens, so an ordinary `a < b` comparison never matches.
         if re.match(r"[A-Za-z_]\w*$", t) and i + 1 < end and \
                 t not in CONTROL_KEYWORDS and \

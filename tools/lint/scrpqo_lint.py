@@ -36,13 +36,11 @@ Five rules, each encoding an invariant the thread-safety annotations
                            invisible to the thread-safety analysis and
                            silently exempt every field they guard.
 
-  alloc-in-hotpath         In src/pqo/ and the SIMD recost-bundle TUs
-                           (src/optimizer/recost_bundle*), regions fenced
-                           by `// scrpqo-lint: hot-path begin` ...
+  alloc-in-hotpath         In src/pqo/ regions fenced by
+                           `// scrpqo-lint: hot-path begin` ...
                            `// scrpqo-lint: hot-path end` (the
                            getPlan-reachable reuse path, e.g.
-                           Scr::TryReuse or RecostBundle::EvalMany) no
-                           heap allocation may appear:
+                           Scr::TryReuse) no heap allocation may appear:
                            `new`, std::make_unique / make_shared,
                            std::vector / std::string / std::map
                            construction. Scratch belongs in the thread's
@@ -468,7 +466,7 @@ def check_raw_mutex(src: SourceFile) -> list[Finding]:
 # analyzer (tools/analyze/scrpqo_effects.py) imports this: a direct
 # allocation on a fenced line under these prefixes is OWNED by this lint
 # and reported by the analyzer only as "delegated", never double-reported.
-ALLOC_HOTPATH_SCOPE = ("src/pqo/", "src/optimizer/recost_bundle")
+ALLOC_HOTPATH_SCOPE = ("src/pqo/",)
 
 HOT_BEGIN_RE = re.compile(r"//\s*scrpqo-lint:\s*hot-path\s+begin\b")
 HOT_END_RE = re.compile(r"//\s*scrpqo-lint:\s*hot-path\s+end\b")
