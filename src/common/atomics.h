@@ -1,6 +1,6 @@
 // Copyable relaxed atomics for statistics counters that are bumped from
-// const hot paths (Recost call counts, usage counters, kd-tree visit
-// counters). Plain `mutable int64_t` members race the moment two threads
+// const hot paths (Recost call counts, usage counters, violation
+// flags). Plain `mutable int64_t` members race the moment two threads
 // share the object — exactly what the concurrent getPlan read path does —
 // so every such counter goes through RelaxedCounter instead.
 //

@@ -1,7 +1,7 @@
 // Per-thread bump arena backing the allocation-free getPlan hot path.
 //
-// Scr::TryReuse (and the kd-tree queries and batch-recost lane scratch it
-// drives) needs a handful of short-lived growable buffers per call —
+// Scr::TryReuse (and the batch-recost sweep it drives) needs a handful of
+// short-lived growable buffers per call — the query's log-selectivities,
 // candidate lists, plan-pointer spans, cost outputs. std::vector pays a
 // heap round-trip per buffer per call on the hottest path in the system.
 // ScratchArena replaces that with chunked bump allocation:

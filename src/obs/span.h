@@ -14,7 +14,8 @@
 // Stage taxonomy (the phases a PqoManager-routed getPlan passes through):
 //   shard_wait    PqoManager shard-lock acquisition wait
 //   svector       selectivity-vector computation (harness/engine side)
-//   index_probe   spatial-index range query / nearest-by-GL sweep
+//   index_probe   unused since the instance table became a flat scan
+//                 (kept so the wire format and stage indices stay stable)
 //   sel_check     instance-list selectivity-check scan
 //   recost        scalar Recost calls (tree walks, one-off programs)
 //   optimize      full optimizer call on a miss

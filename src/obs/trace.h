@@ -78,8 +78,10 @@ struct DecisionEvent {
   /// manager be audited per template (guarantee_audit --per-template).
   NameId template_key;
   DecisionOutcome outcome = DecisionOutcome::kOptimized;
-  /// Cache-entry id that matched (instance-list index for SCR check hits,
-  /// plan id for optimized/discard/evict events); -1 when n/a.
+  /// Cache-entry id that matched (for SCR check hits, the entry's position
+  /// in the instance table at decision time: evictions compact the table,
+  /// so later entries' positions shift down; plan id for
+  /// optimized/discard/evict events); -1 when n/a.
   int32_t matched_entry = -1;
   /// Selectivity-check factors at the matched entry (-1 when n/a).
   double g = -1.0;

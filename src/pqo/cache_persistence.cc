@@ -59,6 +59,70 @@ Status ParseInstanceLine(const std::string& body, Scr::SnapshotEntry* e) {
   return Status::OK();
 }
 
+/// The entry half of CheckSnapshotFitsTemplate.
+Status CheckEntryFitsTemplate(const Scr::SnapshotEntry& e,
+                              const QueryTemplate& tmpl) {
+  if (e.v.size() != static_cast<size_t>(tmpl.dimensions())) {
+    return Status::InvalidArgument(
+        "instance entry has " + std::to_string(e.v.size()) +
+        " selectivities; template " + tmpl.name() + " has " +
+        std::to_string(tmpl.dimensions()));
+  }
+  return Status::OK();
+}
+
+/// The plan half of CheckSnapshotFitsTemplate, over the subtree at `node`.
+Status CheckPlanFitsTemplate(const PhysicalPlanNode& node,
+                             const QueryTemplate& tmpl) {
+  if (node.is_leaf()) {
+    const LeafInfo& leaf = node.leaf;
+    if (leaf.table_index < 0 || leaf.table_index >= tmpl.num_tables() ||
+        tmpl.tables()[static_cast<size_t>(leaf.table_index)] != leaf.table) {
+      return Status::InvalidArgument(
+          "snapshot plan reads " + leaf.table + " as table " +
+          std::to_string(leaf.table_index) + ", which template " +
+          tmpl.name() + " does not");
+    }
+    for (const PredSpec& pred : leaf.preds) {
+      if (!pred.parameterized()) continue;
+      if (pred.param_slot < 0 || pred.param_slot >= tmpl.dimensions()) {
+        return Status::InvalidArgument(
+            "snapshot plan binds parameter slot " +
+            std::to_string(pred.param_slot) + "; template " + tmpl.name() +
+            " has " + std::to_string(tmpl.dimensions()));
+      }
+      const PredicateTemplate& bound = tmpl.PredicateForSlot(pred.param_slot);
+      if (bound.table_index != leaf.table_index ||
+          bound.column != pred.column) {
+        return Status::InvalidArgument(
+            "snapshot plan binds parameter slot " +
+            std::to_string(pred.param_slot) + " to " + leaf.table + "." +
+            pred.column + ", not to template " + tmpl.name() +
+            "'s predicate on " + bound.column);
+      }
+    }
+  }
+  for (const PlanPtr& child : node.children) {
+    if (child != nullptr) {
+      SCRPQO_RETURN_NOT_OK(CheckPlanFitsTemplate(*child, tmpl));
+    }
+  }
+  return Status::OK();
+}
+
+/// The checks LoadScrCache documents, over a whole parsed snapshot.
+Status CheckSnapshotFitsTemplate(const std::vector<PlanPtr>& plans,
+                                 const std::vector<Scr::SnapshotEntry>& entries,
+                                 const QueryTemplate& tmpl) {
+  for (const Scr::SnapshotEntry& e : entries) {
+    SCRPQO_RETURN_NOT_OK(CheckEntryFitsTemplate(e, tmpl));
+  }
+  for (const PlanPtr& plan : plans) {
+    SCRPQO_RETURN_NOT_OK(CheckPlanFitsTemplate(*plan, tmpl));
+  }
+  return Status::OK();
+}
+
 /// Checks that Restore can compile `plan` and recost it at the snapshot's
 /// instances: the plan's binding slots must lie below the dimension of the
 /// instance entries. A snapshot with plans but no entries gives no
@@ -146,6 +210,7 @@ Status ParseScrCacheSnapshot(const std::string& snapshot,
 }
 
 Status ParseScrCacheSnapshotLenient(const std::string& snapshot,
+                                    const QueryTemplate& tmpl,
                                     std::vector<PlanPtr>* plans,
                                     std::vector<Scr::SnapshotEntry>* entries,
                                     SnapshotRestoreReport* report) {
@@ -204,18 +269,22 @@ Status ParseScrCacheSnapshotLenient(const std::string& snapshot,
   // A snapshot that ends without a trailing newline mid-record shows up
   // as a short final line, caught above; a fully empty tail is fine.
   //
-  // Plans are checked once the entries' dimension is known. The first plan
-  // that fails ends the valid prefix, as a malformed line would: it and
-  // every kept record after it are dropped.
+  // Records are checked against `tmpl`, and plans against the entries'
+  // dimension, once every entry is known. The first record that fails ends
+  // the valid prefix, as a malformed line would: it and every kept record
+  // after it are dropped.
   int num_plans = 0;
   int num_entries = 0;
   for (size_t r = 0; r < kept.size(); ++r) {
+    Status st = Status::OK();
     if (kept[r] == 'I') {
-      ++num_entries;
-      continue;
+      st = CheckEntryFitsTemplate(
+          (*entries)[static_cast<size_t>(num_entries)], tmpl);
+    } else {
+      const PhysicalPlanNode& plan = *(*plans)[static_cast<size_t>(num_plans)];
+      st = ValidateSnapshotPlan(plan, *entries);
+      if (st.ok()) st = CheckPlanFitsTemplate(plan, tmpl);
     }
-    Status st = ValidateSnapshotPlan(
-        *(*plans)[static_cast<size_t>(num_plans)], *entries);
     if (!st.ok()) {
       report->records_dropped += static_cast<int>(kept.size() - r);
       report->first_error = st.ToString();
@@ -225,24 +294,27 @@ Status ParseScrCacheSnapshotLenient(const std::string& snapshot,
       report->entries_restored = num_entries;
       break;
     }
-    ++num_plans;
+    ++(kept[r] == 'I' ? num_entries : num_plans);
   }
   return Status::OK();
 }
 
-Status LoadScrCache(const std::string& snapshot, Scr* scr) {
+Status LoadScrCache(const std::string& snapshot, const QueryTemplate& tmpl,
+                    Scr* scr) {
   std::vector<PlanPtr> plans;
   std::vector<Scr::SnapshotEntry> entries;
   SCRPQO_RETURN_NOT_OK(ParseScrCacheSnapshot(snapshot, &plans, &entries));
+  SCRPQO_RETURN_NOT_OK(CheckSnapshotFitsTemplate(plans, entries, tmpl));
   return scr->Restore(plans, entries);
 }
 
-Status LoadScrCacheLenient(const std::string& snapshot, Scr* scr,
+Status LoadScrCacheLenient(const std::string& snapshot,
+                           const QueryTemplate& tmpl, Scr* scr,
                            SnapshotRestoreReport* report) {
   std::vector<PlanPtr> plans;
   std::vector<Scr::SnapshotEntry> entries;
-  SCRPQO_RETURN_NOT_OK(
-      ParseScrCacheSnapshotLenient(snapshot, &plans, &entries, report));
+  SCRPQO_RETURN_NOT_OK(ParseScrCacheSnapshotLenient(snapshot, tmpl, &plans,
+                                                    &entries, report));
   return scr->Restore(plans, entries);
 }
 
@@ -288,17 +360,19 @@ Status SlurpSnapshotFile(const std::string& path, std::string* bytes) {
 
 }  // namespace
 
-Status LoadScrCacheFromFile(const std::string& path, Scr* scr) {
+Status LoadScrCacheFromFile(const std::string& path, const QueryTemplate& tmpl,
+                            Scr* scr) {
   std::string bytes;
   SCRPQO_RETURN_NOT_OK(SlurpSnapshotFile(path, &bytes));
-  return LoadScrCache(bytes, scr);
+  return LoadScrCache(bytes, tmpl, scr);
 }
 
-Status LoadScrCacheFromFileLenient(const std::string& path, Scr* scr,
+Status LoadScrCacheFromFileLenient(const std::string& path,
+                                   const QueryTemplate& tmpl, Scr* scr,
                                    SnapshotRestoreReport* report) {
   std::string bytes;
   SCRPQO_RETURN_NOT_OK(SlurpSnapshotFile(path, &bytes));
-  return LoadScrCacheLenient(bytes, scr, report);
+  return LoadScrCacheLenient(bytes, tmpl, scr, report);
 }
 
 }  // namespace scrpqo

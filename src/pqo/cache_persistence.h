@@ -14,6 +14,7 @@
 
 #include "common/status.h"
 #include "pqo/scr.h"
+#include "query/query_template.h"
 
 namespace scrpqo {
 
@@ -47,23 +48,35 @@ Status ParseScrCacheSnapshot(const std::string& snapshot,
                              std::vector<Scr::SnapshotEntry>* entries);
 
 /// Lenient variant for crash/corruption recovery: keeps every record up
-/// to the first malformed line or the first plan that fails the plan check
+/// to the first malformed line, the first entry or plan that does not fit
+/// `tmpl` (see LoadScrCache), or the first plan that fails the plan check
 /// above (the valid prefix — what a crash mid-write or a flipped byte
 /// leaves behind) and reports what was dropped instead of failing the
-/// whole restore. Only the header must be intact.
+/// whole restore. Only the header must be intact, so a snapshot of another
+/// template loads as a cold start.
 Status ParseScrCacheSnapshotLenient(const std::string& snapshot,
+                                    const QueryTemplate& tmpl,
                                     std::vector<PlanPtr>* plans,
                                     std::vector<Scr::SnapshotEntry>* entries,
                                     SnapshotRestoreReport* report);
 
 /// Restores a snapshot into `scr`, which must be freshly constructed (its
-/// cache empty) and configured compatibly (same lambda family). Returns
-/// InvalidArgument on malformed input.
-Status LoadScrCache(const std::string& snapshot, Scr* scr);
+/// cache empty), configured compatibly (same lambda family) and serve
+/// `tmpl`. Returns InvalidArgument on malformed input or on a snapshot
+/// that does not fit `tmpl`: every entry must have exactly
+/// tmpl.dimensions() selectivities, and every plan must read the
+/// template's tables (each leaf's table_index names the template table of
+/// its `table`) and bind each parameterized predicate to a slot below
+/// tmpl.dimensions() whose template predicate is on that leaf's table and
+/// column. A snapshot saved from another template fails this even at the
+/// same dimension: its plans read other tables.
+Status LoadScrCache(const std::string& snapshot, const QueryTemplate& tmpl,
+                    Scr* scr);
 
 /// Valid-prefix restore (see ParseScrCacheSnapshotLenient); `scr` must be
 /// fresh. Returns OK with a partial cache on mid-file corruption.
-Status LoadScrCacheLenient(const std::string& snapshot, Scr* scr,
+Status LoadScrCacheLenient(const std::string& snapshot,
+                           const QueryTemplate& tmpl, Scr* scr,
                            SnapshotRestoreReport* report);
 
 /// File convenience wrappers. Saving writes to a temporary file, checks
@@ -71,8 +84,10 @@ Status LoadScrCacheLenient(const std::string& snapshot, Scr* scr,
 /// never leaves a truncated snapshot at `path`. Loading honors the
 /// snapshot.truncate / snapshot.bitflip fault points (chaos testing).
 Status SaveScrCacheToFile(const Scr& scr, const std::string& path);
-Status LoadScrCacheFromFile(const std::string& path, Scr* scr);
-Status LoadScrCacheFromFileLenient(const std::string& path, Scr* scr,
+Status LoadScrCacheFromFile(const std::string& path, const QueryTemplate& tmpl,
+                            Scr* scr);
+Status LoadScrCacheFromFileLenient(const std::string& path,
+                                   const QueryTemplate& tmpl, Scr* scr,
                                    SnapshotRestoreReport* report);
 
 }  // namespace scrpqo

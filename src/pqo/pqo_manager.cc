@@ -158,7 +158,6 @@ void PqoManager::FinishWarmupLocked(TemplateState* st) {
   ScrOptions opts;
   opts.lambda = st->lambda;
   opts.plan_budget = options_.plan_budget;
-  opts.use_spatial_index = options_.use_spatial_index;
   ObsHooks hooks;
   {
     MutexLock obs_lock(obs_mu_);

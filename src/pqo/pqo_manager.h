@@ -57,8 +57,6 @@ struct PqoManagerOptions {
   double lambda_loose = 2.0;
   /// Per-template plan budget (0 = unlimited).
   int plan_budget = 0;
-  /// Passed through to each template's SCR cache.
-  bool use_spatial_index = false;
   /// Back each template's cache with AsyncScr (background manageCache,
   /// shared-lock getPlan) instead of a synchronous Scr serialized per
   /// template. Required for intra-template read concurrency.

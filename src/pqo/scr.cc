@@ -23,6 +23,42 @@ namespace {
 /// violation (Appendix G); absorbs floating-point noise.
 constexpr double kViolationSlack = 1.02;
 
+/// Absolute slack of the flat table's L1 prefilter. The prefilter compares
+/// a rounded sum of rounded logs with the rounded log of a rounded bound;
+/// the exact test compares G*L, a product of up to 2d + 1 rounded ratios
+/// and factors, with lambda(e)/S. Clamped selectivities lie in [1e-9, 1],
+/// so each log is below 20.8 in magnitude and within one ulp (3.6e-15) of
+/// the real value. With the subtraction and the running sum, a distance is
+/// off by at most ~1.5e-14 per dimension, and G*L and the bound's log add
+/// (2d + 3) * 1.1e-16. Even at kMaxSnapshotDims = 256 dimensions that is
+/// under 4e-12 (typically d * 5e-15), so 1e-9 leaves a margin above 250x:
+/// the prefilter skips no entry the exact test would pass, and a distance
+/// is always within kLogSlack of log(G*L).
+constexpr double kLogSlack = 1e-9;
+
+/// The flat table's coordinates: log(max(s, kSelectivityFloor)) for each of
+/// the `d` selectivities, with ComputeGlFast's clamp (a NaN clamps to the
+/// floor).
+SCRPQO_HOT SCRPQO_NOALLOC SCRPQO_NONBLOCKING SCRPQO_LOCK_BOUNDED()
+void LogSelectivities(const double* s, size_t d, double* out) {
+  for (size_t k = 0; k < d; ++k) {
+    out[k] = std::log(VecMax(s[k], kSelectivityFloor));
+  }
+}
+
+/// sum_k |a_k - b_k| over two log rows: log(G*L) between their instances
+/// (Section 5.3). A dimension where both are +inf adds 0, as its NaN ratio
+/// leaves ComputeGlFast's G and L alone.
+SCRPQO_HOT SCRPQO_NOALLOC SCRPQO_NONBLOCKING SCRPQO_LOCK_BOUNDED()
+inline double L1Distance(const double* a, const double* b, size_t d) {
+  double dist = 0.0;
+  for (size_t k = 0; k < d; ++k) {
+    const double diff = std::fabs(a[k] - b[k]);
+    dist += diff == diff ? diff : 0.0;
+  }
+  return dist;
+}
+
 std::string TechniqueName(const ScrOptions& options) {
   std::ostringstream os;
   os << "SCR" << options.lambda;
@@ -57,6 +93,27 @@ double Scr::LambdaFor(const InstanceEntry& e) const {
   return options_.lambda_min +
          (options_.lambda_max - options_.lambda_min) *
              std::exp(-e.opt_cost / c_ref);
+}
+
+double Scr::LambdaEnvelope() const {
+  if (!options_.dynamic_lambda) return options_.lambda;
+  // LambdaFor's exp factor lies in [0, 1] for C >= 0, and rounding is
+  // monotone, so no entry's lambda exceeds this (nor lambda_min when
+  // lambda_max < lambda_min).
+  return options_.lambda_min +
+         std::max(options_.lambda_max - options_.lambda_min, 0.0);
+}
+
+void Scr::AppendEntry(InstanceEntry entry) {
+  if (instances_.empty()) dims_ = entry.v.size();
+  // One cache serves one template. An instance of another dimension never
+  // matches (TryReuse), so it has no row to fill either.
+  if (entry.v.size() != dims_) return;
+  const size_t row = log_rows_.size();
+  log_rows_.resize(row + dims_);
+  LogSelectivities(entry.v.data(), dims_, log_rows_.data() + row);
+  log_bounds_.push_back(std::log(LambdaEnvelope() / entry.subopt));
+  instances_.push_back(std::move(entry));
 }
 
 void Scr::SetObs(const ObsHooks& hooks) {
@@ -116,14 +173,6 @@ void Scr::RecordAttemptTime(int64_t start_ns, int64_t end_ns) const {
   if (get_plan_micros_ != nullptr && start_ns >= 0 && end_ns >= start_ns) {
     get_plan_micros_->Record(static_cast<double>((end_ns - start_ns) / 1000));
   }
-}
-
-int64_t Scr::NumInstancesStored() const {
-  int64_t n = 0;
-  for (const auto& e : instances_) {
-    if (e.live) ++n;
-  }
-  return n;
 }
 
 PlanChoice Scr::OnInstance(const WorkloadInstance& wi, EngineContext* engine) {
@@ -235,143 +284,55 @@ bool Scr::TryReuse(const WorkloadInstance& wi, EngineContext* engine,
   ScratchArena::Scope arena_scope(arena);
 
   // ---- Selectivity check (Algorithm 1, first loop) ----
-  // While scanning, collect cost-check candidates in increasing GL order
-  // (Section 6.2 heuristic: small GL is most likely to pass).
-  struct Candidate {
-    double gl;
-    size_t entry;
-    double l;
-  };
+  // One pass over the flat table in insertion order. An entry whose L1
+  // log-distance is within its bound (plus kLogSlack) may pass, so the
+  // exact G*L test decides it: the first entry that passes is the hit,
+  // with the g, l, S and lambda of the exact test. Every other enabled
+  // entry becomes a cost-check candidate keyed by its distance.
   ArenaVec<Candidate> candidates(arena);
-  if (options_.use_spatial_index && index_ != nullptr) {
-    // Spatial path (Section 6.2): log(G*L) is the L1 distance in
-    // log-selectivity space, so the selectivity check is a range query with
-    // the loosest possible per-entry bound (lambda; entry sub-optimality
-    // only tightens it), verified per hit.
-    double envelope =
-        options_.dynamic_lambda ? options_.lambda_max : options_.lambda;
-    StageTimer probe_timer(Stage::kIndexProbe,
-                           stage_hists_[Stage::kIndexProbe]);
-    start_ns = probe_timer.start_ns();
-    if (start_ns_out != nullptr) *start_ns_out = start_ns;
-    ArenaVec<InstanceKdTree::Match> matches(arena);
-    index_->RangeQueryInto(sv, envelope, &matches);
-    probe_timer.Stop();
-    StageTimer sel_timer(Stage::kSelCheck, stage_hists_[Stage::kSelCheck]);
-    for (const auto& m : matches) {
-      InstanceEntry& e = instances_[static_cast<size_t>(m.id)];
-      if (!e.live) continue;
-      if (std::exp(m.log_gl) <= LambdaFor(e) / e.subopt) {
-        e.usage.Add(1);
-        store_.AddUsage(e.plan_id, 1);
-        choice.plan = store_.entry(e.plan_id).plan;
-        const int64_t end_ns = sel_timer.Stop();
-        RecordAttemptTime(start_ns, end_ns);
-        if (obs_.tracer != nullptr || obs_.metrics != nullptr) {
-          DecisionEvent ev;
-          ev.outcome = DecisionOutcome::kSelCheckHit;
-          ev.matched_entry = static_cast<int32_t>(m.id);
-          ev.subopt = e.subopt;
-          ev.lambda = LambdaFor(e);
-          if (obs_.tracer != nullptr) {
-            GlFactors gl = ComputeGlFast(e.v, sv);
-            ev.g = gl.g;
-            ev.l = gl.l;
-          }
-          EmitEvent(ev, wi.id, start_ns, end_ns);
-        }
-        return true;
-      }
-    }
-    sel_timer.Stop();
-    if (options_.enable_cost_check) {
-      // Nearest-by-GL sweep; overfetch to survive the disabled-entry
-      // filter.
-      int want = options_.max_cost_check_candidates > 0
-                     ? options_.max_cost_check_candidates
-                     : static_cast<int>(instances_.size());
-      StageTimer near_timer(Stage::kIndexProbe,
-                            stage_hists_[Stage::kIndexProbe]);
-      ArenaVec<InstanceKdTree::Match> nearest(arena);
-      index_->NearestByGlInto(sv, 2 * want + 4, &nearest);
-      near_timer.Stop();
-      for (const auto& m : nearest) {
-        InstanceEntry& e = instances_[static_cast<size_t>(m.id)];
-        if (!e.live || e.cost_check_disabled.value()) continue;
-        candidates.push_back(Candidate{std::exp(m.log_gl),
-                                       static_cast<size_t>(m.id),
-                                       ComputeGlFast(e.v, sv).l});
-      }
-    }
-  } else {
+  {
     StageTimer sel_timer(Stage::kSelCheck, stage_hists_[Stage::kSelCheck]);
     start_ns = sel_timer.start_ns();
     if (start_ns_out != nullptr) *start_ns_out = start_ns;
-    for (size_t i = 0; i < instances_.size(); ++i) {
+    // One cache serves one template: an instance of another dimension
+    // matches nothing.
+    const size_t d = dims_;
+    const size_t n = sv.size() == d ? instances_.size() : 0;
+    double* q = arena.AllocateArray<double>(d);
+    if (n > 0) LogSelectivities(sv.data(), d, q);
+    const double* row = log_rows_.data();
+    for (size_t i = 0; i < n; ++i, row += d) {
+      const double dist = L1Distance(q, row, d);
       InstanceEntry& e = instances_[i];
-      if (!e.live) continue;
-      GlFactors gl = ComputeGlFast(e.v, sv);
-      double g = gl.g;
-      double l = gl.l;
-      double bound = LambdaFor(e) / e.subopt;
-      if (g * l <= bound) {
-        e.usage.Add(1);
-        store_.AddUsage(e.plan_id, 1);
-        choice.plan = store_.entry(e.plan_id).plan;
-        const int64_t end_ns = sel_timer.Stop();
-        RecordAttemptTime(start_ns, end_ns);
-        if (obs_.tracer != nullptr || obs_.metrics != nullptr) {
-          DecisionEvent ev;
-          ev.outcome = DecisionOutcome::kSelCheckHit;
-          ev.matched_entry = static_cast<int32_t>(i);
-          ev.g = g;
-          ev.l = l;
-          ev.subopt = e.subopt;
-          ev.lambda = LambdaFor(e);
-          EmitEvent(ev, wi.id, start_ns, end_ns);
+      if (!(dist > log_bounds_[i] + kLogSlack)) {
+        const GlFactors gl = ComputeGlFast(e.v, sv);
+        if (gl.g * gl.l <= LambdaFor(e) / e.subopt) {
+          e.usage.Add(1);
+          store_.AddUsage(e.plan_id, 1);
+          choice.plan = store_.entry(e.plan_id).plan;
+          const int64_t end_ns = sel_timer.Stop();
+          RecordAttemptTime(start_ns, end_ns);
+          if (obs_.tracer != nullptr || obs_.metrics != nullptr) {
+            DecisionEvent ev;
+            ev.outcome = DecisionOutcome::kSelCheckHit;
+            ev.matched_entry = static_cast<int32_t>(i);
+            ev.g = gl.g;
+            ev.l = gl.l;
+            ev.subopt = e.subopt;
+            ev.lambda = LambdaFor(e);
+            EmitEvent(ev, wi.id, start_ns, end_ns);
+          }
+          return true;
         }
-        return true;
       }
       if (options_.enable_cost_check && !e.cost_check_disabled.value()) {
-        candidates.push_back(Candidate{g * l, i, l});
+        candidates.push_back(Candidate{dist, i, 0.0, 0.0});
       }
     }
   }
 
   // ---- Cost check (Algorithm 1, second loop) ----
-  switch (options_.cost_check_order) {
-    case CostCheckOrder::kAscendingGl:
-      std::sort(candidates.begin(), candidates.end(),
-                [](const Candidate& a, const Candidate& b) {
-                  return a.gl < b.gl;
-                });
-      break;
-    case CostCheckOrder::kDescendingRegionArea:
-      // Area of the selectivity-based region grows with the product of the
-      // entry's selectivities (Section 5.3); bigger regions are broader
-      // matches, so try them first.
-      std::sort(candidates.begin(), candidates.end(),
-                [this](const Candidate& a, const Candidate& b) {
-                  return RegionArea(instances_[a.entry]) >
-                         RegionArea(instances_[b.entry]);
-                });
-      break;
-    case CostCheckOrder::kDescendingUsage:
-      std::sort(candidates.begin(), candidates.end(),
-                [this](const Candidate& a, const Candidate& b) {
-                  return instances_[a.entry].usage.value() >
-                         instances_[b.entry].usage.value();
-                });
-      break;
-    case CostCheckOrder::kInsertionOrder:
-      break;  // already in insertion order
-  }
-  if (options_.max_cost_check_candidates > 0 &&
-      static_cast<int>(candidates.size()) >
-          options_.max_cost_check_candidates) {
-    candidates.resize(
-        static_cast<size_t>(options_.max_cost_check_candidates));
-  }
+  OrderCandidates(&candidates, sv);
   choice.cost_check_candidates_in_get_plan =
       static_cast<int>(candidates.size());
   if (cost_check_candidates_ != nullptr) {
@@ -478,6 +439,72 @@ bool Scr::TryReuse(const WorkloadInstance& wi, EngineContext* engine,
   // scrpqo-lint: hot-path end
 }
 
+SCRPQO_HOT SCRPQO_NOALLOC SCRPQO_NONBLOCKING SCRPQO_LOCK_BOUNDED()
+void Scr::OrderCandidates(ArenaVec<Candidate>* candidates,
+                          const SVector& sv) const {
+  // scrpqo-lint: hot-path begin
+  Candidate* first = candidates->data();
+  size_t n = candidates->size();
+  const size_t k =
+      options_.max_cost_check_candidates > 0
+          ? std::min(n, static_cast<size_t>(options_.max_cost_check_candidates))
+          : n;
+  // Ascending key, ties by table position: a total order, so which
+  // candidates are kept, and in what order, is deterministic.
+  const auto by_key = [](const Candidate& a, const Candidate& b) {
+    return a.key < b.key || (a.key == b.key && a.entry < b.entry);
+  };
+  const auto fill_gl = [&](Candidate& c) {
+    const GlFactors gl = ComputeGlFast(instances_[c.entry].v, sv);
+    c.gl = gl.g * gl.l;
+    c.l = gl.l;
+  };
+  switch (options_.cost_check_order) {
+    case CostCheckOrder::kAscendingGl:
+      // Section 6.2: small G*L is most likely to pass. A distance is within
+      // kLogSlack of log(G*L), so every candidate whose G*L can tie or beat
+      // the k-th smallest has a distance within 2 * kLogSlack of the k-th
+      // smallest distance. Only that shortlist needs the exact G*L.
+      if (k > 0 && k < n) {
+        std::nth_element(first, first + (k - 1), first + n, by_key);
+        const double cut = first[k - 1].key + 2.0 * kLogSlack;
+        n = static_cast<size_t>(
+            std::partition(first, first + n,
+                           [cut](const Candidate& c) { return c.key <= cut; }) -
+            first);
+      }
+      for (size_t i = 0; i < n; ++i) {
+        fill_gl(first[i]);
+        first[i].key = first[i].gl;
+      }
+      std::partial_sort(first, first + k, first + n, by_key);
+      break;
+    case CostCheckOrder::kDescendingRegionArea:
+      // The selectivity-based region grows with the product of the entry's
+      // selectivities (Section 5.3); bigger regions are broader matches, so
+      // try them first.
+      for (size_t i = 0; i < n; ++i) {
+        first[i].key = -RegionArea(instances_[first[i].entry]);
+      }
+      std::partial_sort(first, first + k, first + n, by_key);
+      break;
+    case CostCheckOrder::kDescendingUsage:
+      for (size_t i = 0; i < n; ++i) {
+        first[i].key = -static_cast<double>(
+            instances_[first[i].entry].usage.value());
+      }
+      std::partial_sort(first, first + k, first + n, by_key);
+      break;
+    case CostCheckOrder::kInsertionOrder:
+      break;  // already in table order
+  }
+  candidates->resize(k);
+  if (options_.cost_check_order != CostCheckOrder::kAscendingGl) {
+    for (size_t i = 0; i < k; ++i) fill_gl(first[i]);
+  }
+  // scrpqo-lint: hot-path end
+}
+
 void Scr::ManageCache(const WorkloadInstance& wi,
                       std::shared_ptr<const OptimizationResult> result,
                       EngineContext* engine, PlanChoice* choice,
@@ -549,14 +576,7 @@ void Scr::ManageCache(const WorkloadInstance& wi,
   entry.opt_cost = result->cost;
   entry.subopt = stored.subopt;
   entry.usage = 1;
-  instances_.push_back(std::move(entry));
-  if (options_.use_spatial_index) {
-    if (index_ == nullptr) {
-      index_ = std::make_unique<InstanceKdTree>(
-          static_cast<int>(sv.size()));
-    }
-    index_->Insert(static_cast<int64_t>(instances_.size()) - 1, sv);
-  }
+  AppendEntry(std::move(entry));
   store_.AddUsage(stored.plan_id, 1);
   choice->plan = store_.entry(stored.plan_id).plan;
 }
@@ -581,13 +601,23 @@ void Scr::DropPlanAndEntries(int victim, int instance_id) {
   }
   // Dropping the instance entries keeps the lambda-optimality guarantee
   // intact (Section 6.3.1): no future inference can use the gone plan.
+  // One stable pass erases them with their table rows; later entries move
+  // down, keeping insertion order.
+  const size_t d = dims_;
+  size_t kept = 0;
   for (size_t i = 0; i < instances_.size(); ++i) {
-    InstanceEntry& e = instances_[i];
-    if (e.live && e.plan_id == victim) {
-      e.live = false;
-      if (index_ != nullptr) index_->Remove(static_cast<int64_t>(i));
+    if (instances_[i].plan_id == victim) continue;
+    if (kept != i) {
+      instances_[kept] = std::move(instances_[i]);
+      std::copy_n(log_rows_.data() + i * d, d, log_rows_.data() + kept * d);
+      log_bounds_[kept] = log_bounds_[i];
     }
+    ++kept;
   }
+  instances_.erase(instances_.begin() + static_cast<std::ptrdiff_t>(kept),
+                   instances_.end());
+  log_rows_.resize(kept * d);
+  log_bounds_.resize(kept);
 }
 
 int64_t Scr::MinLivePlanUsage(uint64_t pinned_signature) const {
@@ -617,10 +647,7 @@ int64_t Scr::EstimatedMemoryBytes() const {
     if (p->plan != nullptr) total += PlanMemoryBytes(*p->plan);
     total += p->program.memory_bytes();
   }
-  int dims = instances_.empty()
-                 ? 0
-                 : static_cast<int>(instances_.front().v.size());
-  total += NumInstancesStored() * InstanceEntryBytes(dims);
+  total += NumInstancesStored() * InstanceEntryBytes(static_cast<int>(dims_));
   return total;
 }
 
@@ -639,7 +666,6 @@ std::vector<Scr::SnapshotEntry> Scr::SnapshotInstances() const {
   for (int id : store_.LivePlanIds()) ordinal_of[id] = ordinal++;
   std::vector<SnapshotEntry> out;
   for (const auto& e : instances_) {
-    if (!e.live) continue;
     auto it = ordinal_of.find(e.plan_id);
     if (it == ordinal_of.end()) continue;
     SnapshotEntry se;
@@ -680,7 +706,7 @@ Status Scr::Restore(const std::vector<PlanPtr>& plans,
       return Status::InvalidArgument("instance entry has bad cost fields");
     }
     // One template means one selectivity dimension; a mismatched entry is
-    // corruption and would poison the k-d index and the sel check.
+    // corruption and does not fit the instance table.
     if (se.v.size() != entries.front().v.size()) {
       return Status::InvalidArgument(
           "instance entry has mismatched selectivity dimensions");
@@ -692,15 +718,8 @@ Status Scr::Restore(const std::vector<PlanPtr>& plans,
     e.subopt = se.subopt;
     e.usage = se.usage;
     e.cost_check_disabled = se.cost_check_disabled;
-    instances_.push_back(std::move(e));
-    store_.AddUsage(instances_.back().plan_id, se.usage);
-    if (options_.use_spatial_index) {
-      if (index_ == nullptr) {
-        index_ = std::make_unique<InstanceKdTree>(
-            static_cast<int>(se.v.size()));
-      }
-      index_->Insert(static_cast<int64_t>(instances_.size()) - 1, se.v);
-    }
+    store_.AddUsage(e.plan_id, se.usage);
+    AppendEntry(std::move(e));
     cost_sum_ += se.opt_cost;
     ++cost_count_;
   }
@@ -710,10 +729,10 @@ Status Scr::Restore(const std::vector<PlanPtr>& plans,
 int Scr::DropRedundantPlans(EngineContext* engine) {
   int dropped = 0;
   for (int plan_id : store_.LivePlanIds()) {
-    // Collect the live instances served by this plan.
+    // Collect the instances served by this plan.
     std::vector<size_t> served;
     for (size_t i = 0; i < instances_.size(); ++i) {
-      if (instances_[i].live && instances_[i].plan_id == plan_id) {
+      if (instances_[i].plan_id == plan_id) {
         served.push_back(i);
       }
     }
@@ -750,6 +769,7 @@ int Scr::DropRedundantPlans(EngineContext* engine) {
       InstanceEntry& e = instances_[served[s]];
       e.plan_id = alts[s].plan_id;
       e.subopt = alts[s].subopt;
+      log_bounds_[served[s]] = std::log(LambdaEnvelope() / e.subopt);
       store_.AddUsage(alts[s].plan_id, e.usage.value());
     }
     store_.Drop(plan_id);

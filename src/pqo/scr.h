@@ -14,7 +14,7 @@
 
 #include "common/atomics.h"
 #include "common/effects.h"
-#include "pqo/instance_index.h"
+#include "common/scratch_arena.h"
 #include "pqo/plan_store.h"
 #include "pqo/technique.h"
 
@@ -50,11 +50,6 @@ struct ScrOptions {
   /// Ablation switch: disable the Recost-based cost check entirely
   /// (selectivity check + redundancy check only).
   bool enable_cost_check = true;
-  /// Answer the selectivity check and candidate selection through a k-d
-  /// tree over log-selectivities instead of scanning the instance list
-  /// (Section 6.2's spatial-index suggestion). Semantically identical for
-  /// static lambda; requires cost_check_order == kAscendingGl.
-  bool use_spatial_index = false;
   /// Appendix D: when true, the per-entry bound becomes
   /// lambda(C) = lambda_min + (lambda_max - lambda_min) * exp(-C / c_ref),
   /// giving cheap instances a looser bound. c_ref adapts to the running
@@ -133,7 +128,9 @@ class Scr : public PqoTechnique {
   int64_t PeakPlansCached() const override { return store_.Peak(); }
 
   /// Instance-list size (bookkeeping-overhead metric, Section 6.1).
-  int64_t NumInstancesStored() const;
+  int64_t NumInstancesStored() const {
+    return static_cast<int64_t>(instances_.size());
+  }
 
   /// Maximum Recost calls any single getPlan invocation needed so far
   /// (Section 7.3's getPlan-overhead discussion).
@@ -182,7 +179,9 @@ class Scr : public PqoTechnique {
   // --- cache persistence (see pqo/cache_persistence.h) ---
 
   /// One instance-list 5-tuple in snapshot form; `plan_ordinal` indexes the
-  /// vector returned by SnapshotPlans().
+  /// vector returned by SnapshotPlans(). SnapshotInstances() lists entries
+  /// in table order, so an entry's index there is the `matched_entry` a
+  /// decision taken now would report for it.
   struct SnapshotEntry {
     SVector v;
     int plan_ordinal = -1;
@@ -211,13 +210,41 @@ class Scr : public PqoTechnique {
     double opt_cost = 0.0;  // C: optimal cost at this instance
     double subopt = 1.0;    // S: sub-optimality of plan at this instance
     RelaxedCounter<int64_t> usage = 0;  // U
-    bool live = true;
     /// Appendix G: excluded from future cost-check inference.
     RelaxedCounter<bool> cost_check_disabled = false;
   };
 
+  /// A cost-check candidate: a position in `instances_` whose entry failed
+  /// the selectivity check and is not excluded from the cost check. `key`
+  /// is what OrderCandidates selects by (first the L1 log-distance, which
+  /// the kAscendingGl order then replaces by the exact G*L); `gl` and `l`
+  /// are the entry's exact G*L and L, filled for the selected candidates.
+  struct Candidate {
+    double key;
+    size_t entry;
+    double gl;
+    double l;
+  };
+
   /// Effective lambda for an entry (Appendix D dynamic mode).
   double LambdaFor(const InstanceEntry& e) const;
+
+  /// Upper bound on LambdaFor over every entry: lambda, or under dynamic
+  /// lambda its value at C = 0, computed the same way so rounding cannot
+  /// put an entry above it. The flat table's per-entry L1 bound is
+  /// log(envelope / S).
+  double LambdaEnvelope() const;
+
+  /// Appends an entry and its log row and L1 bound to the instance table;
+  /// drops an entry whose dimension differs from the table's (one cache
+  /// serves one template).
+  void AppendEntry(InstanceEntry entry);
+
+  /// Orders `candidates` for the cost check by `cost_check_order`, keeps
+  /// the first max_cost_check_candidates (ties by table position), and
+  /// fills each kept candidate's exact `gl` and `l` against `sv`.
+  void OrderCandidates(ArenaVec<Candidate>* candidates,
+                       const SVector& sv) const;
 
   /// Relative area of the entry's selectivity-based inference region
   /// (Section 5.3), used by CostCheckOrder::kDescendingRegionArea.
@@ -260,9 +287,18 @@ class Scr : public PqoTechnique {
   NameId scope_label_;
   double lambda_r_effective_;
   PlanStore store_;
+  /// The instance list, in insertion order. Evictions erase entries, so a
+  /// position is stable only until the next eviction.
   std::vector<InstanceEntry> instances_;
-  /// Lazily created on first insert when use_spatial_index is set.
-  std::unique_ptr<InstanceKdTree> index_;
+  /// The flat instance table beside `instances_`, one row per entry: the
+  /// clamped log-selectivities of its V (row-major, `dims_` per row) and
+  /// its L1 bound log(LambdaEnvelope() / S). log(G*L) is the L1 distance
+  /// between two rows (Section 5.3), so TryReuse's selectivity check is
+  /// one contiguous scan against the bounds.
+  std::vector<double> log_rows_;
+  std::vector<double> log_bounds_;
+  /// Row width: the dimension of the entry that went into an empty table.
+  size_t dims_ = 0;
   RelaxedCounter<int> max_recost_calls_per_get_plan_ = 0;
   RelaxedCounter<int64_t> violations_detected_ = 0;
   // Running mean of optimal costs (reference scale for dynamic lambda).

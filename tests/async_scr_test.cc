@@ -176,6 +176,65 @@ TEST_F(AsyncScrTest, ConcurrentGetPlanReadersShareTheCache) {
   EXPECT_GT(snap.CounterValue("async_scr.lock_exclusive"), 0);
 }
 
+TEST_F(AsyncScrTest, ReadersRaceEvictionCompaction) {
+  // An eviction erases the victim's instance entries and their table rows
+  // and moves later entries down. It runs under the exclusive lock, so no
+  // reader's scan may see a half-moved table: readers keep serving warmed
+  // instances while this thread evicts LFU plans and feeds fresh
+  // instances whose optimizations the worker registers.
+  AsyncScr scr(ScrOptions{.lambda = 1.3});
+  EngineContext engine(&db_, &optimizer_);
+  std::vector<WorkloadInstance> warmed;
+  Pcg32 warm_rng(31);
+  for (int i = 0; i < 60; ++i) {
+    warmed.push_back(MakeWi(i, warm_rng.UniformDouble(0.01, 0.9),
+                            warm_rng.UniformDouble(0.01, 0.9)));
+    scr.OnInstance(warmed.back(), &engine);
+    scr.Flush();
+  }
+  ASSERT_GT(scr.NumPlansCached(), 2);
+
+  constexpr int kReaders = 3;
+  std::atomic<bool> done{false};
+  std::atomic<int> null_plans{0};
+  std::atomic<int> reads{0};
+  std::vector<std::thread> readers;
+  for (int t = 0; t < kReaders; ++t) {
+    readers.emplace_back([&, t] {
+      for (int i = 0; !done.load() || i < 50; ++i) {
+        const WorkloadInstance& w =
+            warmed[static_cast<size_t>((t * 11 + i) % warmed.size())];
+        PlanChoice c = scr.OnInstance(w, &engine);
+        if (c.plan == nullptr) null_plans.fetch_add(1);
+        reads.fetch_add(1);
+      }
+    });
+  }
+  int evicted = 0;
+  Pcg32 rng(32);
+  for (int round = 0; round < 40; ++round) {
+    if (scr.EvictLfuPlan(/*instance_id=*/-1)) ++evicted;
+    for (int j = 0; j < 2; ++j) {
+      PlanChoice c = scr.OnInstance(
+          MakeWi(2000 + round * 2 + j, rng.UniformDouble(0.01, 0.95),
+                 rng.UniformDouble(0.01, 0.95)),
+          &engine);
+      if (c.plan == nullptr) null_plans.fetch_add(1);
+    }
+  }
+  done.store(true);
+  for (auto& th : readers) th.join();
+  scr.Flush();
+
+  EXPECT_EQ(null_plans.load(), 0);
+  EXPECT_GE(reads.load(), kReaders * 50);
+  EXPECT_GT(evicted, 0);
+  // Every surviving entry still resolves: the warmed instances are served.
+  for (const WorkloadInstance& w : warmed) {
+    EXPECT_NE(scr.OnInstance(w, &engine).plan, nullptr);
+  }
+}
+
 TEST_F(AsyncScrTest, NameReflectsWrapper) {
   AsyncScr scr(ScrOptions{.lambda = 2.0});
   EXPECT_EQ(scr.name(), "AsyncSCR2");

@@ -12,6 +12,8 @@
 #include "pqo/cache_persistence.h"
 #include "query/query_instance.h"
 #include "tests/test_util.h"
+#include "workload/instance_gen.h"
+#include "workload/named_templates.h"
 
 namespace scrpqo {
 namespace {
@@ -53,7 +55,7 @@ TEST_F(CachePersistenceTest, RoundTripPreservesCacheShape) {
 
   std::string snapshot = SaveScrCache(scr);
   Scr restored(ScrOptions{.lambda = 1.5});
-  Status st = LoadScrCache(snapshot, &restored);
+  Status st = LoadScrCache(snapshot, *tmpl_, &restored);
   ASSERT_TRUE(st.ok()) << st.ToString();
   EXPECT_EQ(restored.NumPlansCached(), scr.NumPlansCached());
   EXPECT_EQ(restored.NumInstancesStored(), scr.NumInstancesStored());
@@ -65,7 +67,7 @@ TEST_F(CachePersistenceTest, RestoredCacheMakesSameDecisions) {
   Warm(&scr, &engine);
 
   Scr restored(ScrOptions{.lambda = 1.5});
-  ASSERT_TRUE(LoadScrCache(SaveScrCache(scr), &restored).ok());
+  ASSERT_TRUE(LoadScrCache(SaveScrCache(scr), *tmpl_, &restored).ok());
 
   // A fresh probe stream must get identical reuse decisions and plans.
   EngineContext e1(&db_, &optimizer_);
@@ -88,20 +90,22 @@ TEST_F(CachePersistenceTest, RestoreRequiresEmptyCache) {
   Warm(&scr, &engine, 30);
   std::string snapshot = SaveScrCache(scr);
   // Restoring into a non-empty cache is rejected.
-  Status st = LoadScrCache(snapshot, &scr);
+  Status st = LoadScrCache(snapshot, *tmpl_, &scr);
   EXPECT_FALSE(st.ok());
 }
 
 TEST_F(CachePersistenceTest, RejectsMalformedSnapshots) {
   Scr scr(ScrOptions{.lambda = 1.5});
-  EXPECT_FALSE(LoadScrCache("", &scr).ok());
-  EXPECT_FALSE(LoadScrCache("wrong-header\n", &scr).ok());
-  EXPECT_FALSE(LoadScrCache("scrpqo-cache-v1\nX junk\n", &scr).ok());
-  EXPECT_FALSE(
-      LoadScrCache("scrpqo-cache-v1\nI 0 1.0 1.0 1 0 2 0.5\n", &scr).ok());
+  EXPECT_FALSE(LoadScrCache("", *tmpl_, &scr).ok());
+  EXPECT_FALSE(LoadScrCache("wrong-header\n", *tmpl_, &scr).ok());
+  EXPECT_FALSE(LoadScrCache("scrpqo-cache-v1\nX junk\n", *tmpl_, &scr).ok());
+  EXPECT_FALSE(LoadScrCache("scrpqo-cache-v1\nI 0 1.0 1.0 1 0 2 0.5\n",
+                            *tmpl_, &scr)
+                   .ok());
   // Instance referencing a plan ordinal that does not exist.
-  EXPECT_FALSE(
-      LoadScrCache("scrpqo-cache-v1\nI 3 1.0 1.0 1 0 1 0.5\n", &scr).ok());
+  EXPECT_FALSE(LoadScrCache("scrpqo-cache-v1\nI 3 1.0 1.0 1 0 1 0.5\n",
+                            *tmpl_, &scr)
+                   .ok());
 }
 
 TEST_F(CachePersistenceTest, FileRoundTrip) {
@@ -111,25 +115,10 @@ TEST_F(CachePersistenceTest, FileRoundTrip) {
   std::string path = ::testing::TempDir() + "/scrpqo_cache_test.txt";
   ASSERT_TRUE(SaveScrCacheToFile(scr, path).ok());
   Scr restored(ScrOptions{.lambda = 2.0});
-  Status st = LoadScrCacheFromFile(path, &restored);
+  Status st = LoadScrCacheFromFile(path, *tmpl_, &restored);
   ASSERT_TRUE(st.ok()) << st.ToString();
   EXPECT_EQ(restored.NumPlansCached(), scr.NumPlansCached());
   std::remove(path.c_str());
-}
-
-TEST_F(CachePersistenceTest, SpatialIndexRebuiltOnRestore) {
-  ScrOptions opts{.lambda = 1.5};
-  opts.use_spatial_index = true;
-  Scr scr(opts);
-  EngineContext engine(&db_, &optimizer_);
-  Warm(&scr, &engine, 100);
-
-  Scr restored(opts);
-  ASSERT_TRUE(LoadScrCache(SaveScrCache(scr), &restored).ok());
-  // Reuse must work through the index immediately.
-  EngineContext e2(&db_, &optimizer_);
-  PlanChoice c = restored.OnInstance(MakeWi(5000, 0.3, 0.3), &e2);
-  EXPECT_NE(c.plan, nullptr);
 }
 
 // --- restore edge cases and corruption hardening ---
@@ -149,7 +138,7 @@ TEST_F(CachePersistenceTest, RejectsEntriesWithUnvalidatedFields) {
 
   auto rejects = [&](const std::string& entry) {
     Scr fresh(ScrOptions{.lambda = 1.5});
-    return !LoadScrCache(head + entry, &fresh).ok();
+    return !LoadScrCache(head + entry, *tmpl_, &fresh).ok();
   };
   // A dimension count that would size a multi-GB resize.
   EXPECT_TRUE(rejects("I 0 1.0 1.0 1 0 4000000000 0.5\n"));
@@ -171,7 +160,7 @@ TEST_F(CachePersistenceTest, RejectsEntriesWithUnvalidatedFields) {
   // The well-formed control passes.
   Scr fresh(ScrOptions{.lambda = 1.5});
   EXPECT_TRUE(
-      LoadScrCache(head + "I 0 1.0 1.2 1 0 2 0.5 0.5\n", &fresh).ok());
+      LoadScrCache(head + "I 0 1.0 1.2 1 0 2 0.5 0.5\n", *tmpl_, &fresh).ok());
 }
 
 TEST_F(CachePersistenceTest, RejectsDimensionMismatchedEntries) {
@@ -187,7 +176,7 @@ TEST_F(CachePersistenceTest, RejectsDimensionMismatchedEntries) {
   Scr fresh(ScrOptions{.lambda = 1.5});
   Status st = LoadScrCache("scrpqo-cache-v1\n" + plan_line +
                                "I 0 1.0 1.2 1 0 2 0.5 0.5\n"
-                               "I 0 1.0 1.2 1 0 3 0.5 0.5 0.5\n",
+                               "I 0 1.0 1.2 1 0 3 0.5 0.5 0.5\n", *tmpl_,
                            &fresh);
   EXPECT_FALSE(st.ok());
 }
@@ -198,7 +187,7 @@ TEST_F(CachePersistenceTest, LenientRestoreRequiresEmptyCacheToo) {
   Warm(&scr, &engine, 20);
   std::string snapshot = SaveScrCache(scr);
   SnapshotRestoreReport report;
-  EXPECT_FALSE(LoadScrCacheLenient(snapshot, &scr, &report).ok());
+  EXPECT_FALSE(LoadScrCacheLenient(snapshot, *tmpl_, &scr, &report).ok());
 }
 
 TEST_F(CachePersistenceTest, CostCheckDisabledSurvivesRoundTrip) {
@@ -215,7 +204,7 @@ TEST_F(CachePersistenceTest, CostCheckDisabledSurvivesRoundTrip) {
   Scr loaded(ScrOptions{.lambda = 1.5});
   ASSERT_TRUE(LoadScrCache("scrpqo-cache-v1\n" + plan_line +
                                "I 0 1.0 1.2 4 1 2 0.5 0.5\n"
-                               "I 0 2.0 1.1 2 0 2 0.25 0.75\n",
+                               "I 0 2.0 1.1 2 0 2 0.25 0.75\n", *tmpl_,
                            &loaded)
                   .ok());
   std::vector<Scr::SnapshotEntry> entries = loaded.SnapshotInstances();
@@ -226,7 +215,7 @@ TEST_F(CachePersistenceTest, CostCheckDisabledSurvivesRoundTrip) {
 
   // And once more through the text format.
   Scr again(ScrOptions{.lambda = 1.5});
-  ASSERT_TRUE(LoadScrCache(SaveScrCache(loaded), &again).ok());
+  ASSERT_TRUE(LoadScrCache(SaveScrCache(loaded), *tmpl_, &again).ok());
   entries = again.SnapshotInstances();
   ASSERT_EQ(entries.size(), 2u);
   EXPECT_TRUE(entries[0].cost_check_disabled);
@@ -250,7 +239,7 @@ TEST_F(CachePersistenceTest, LenientRestoreKeepsValidPrefixAndReports) {
                               "I 0 1.0 1.2 1 0 2 0.25 0.25\n";
   Scr fresh(ScrOptions{.lambda = 1.5});
   SnapshotRestoreReport report;
-  Status st = LoadScrCacheLenient(corrupt, &fresh, &report);
+  Status st = LoadScrCacheLenient(corrupt, *tmpl_, &fresh, &report);
   ASSERT_TRUE(st.ok()) << st.ToString();
   EXPECT_EQ(report.plans_restored, 1);
   EXPECT_EQ(report.entries_restored, 1);
@@ -260,12 +249,13 @@ TEST_F(CachePersistenceTest, LenientRestoreKeepsValidPrefixAndReports) {
 
   // The strict loader refuses the same bytes outright.
   Scr strict(ScrOptions{.lambda = 1.5});
-  EXPECT_FALSE(LoadScrCache(corrupt, &strict).ok());
+  EXPECT_FALSE(LoadScrCache(corrupt, *tmpl_, &strict).ok());
 
   // A pristine snapshot reports nothing dropped.
   Scr clean(ScrOptions{.lambda = 1.5});
   SnapshotRestoreReport clean_report;
-  ASSERT_TRUE(LoadScrCacheLenient(snapshot, &clean, &clean_report).ok());
+  ASSERT_TRUE(
+      LoadScrCacheLenient(snapshot, *tmpl_, &clean, &clean_report).ok());
   EXPECT_EQ(clean_report.records_dropped, 0);
   EXPECT_TRUE(clean_report.first_error.empty());
   EXPECT_EQ(clean.NumInstancesStored(), scr.NumInstancesStored());
@@ -278,7 +268,7 @@ TEST_F(CachePersistenceTest, LenientRestoreRejectsEntryBeforeItsPlan) {
       "scrpqo-cache-v1\nI 0 1.0 1.2 1 0 2 0.5 0.5\n";
   Scr fresh(ScrOptions{.lambda = 1.5});
   SnapshotRestoreReport report;
-  ASSERT_TRUE(LoadScrCacheLenient(snapshot, &fresh, &report).ok());
+  ASSERT_TRUE(LoadScrCacheLenient(snapshot, *tmpl_, &fresh, &report).ok());
   EXPECT_EQ(report.entries_restored, 0);
   EXPECT_EQ(report.records_dropped, 1);
 }
@@ -320,12 +310,12 @@ class CorruptPlanSnapshotTest : public CachePersistenceTest {
   /// cold cache still serves.
   void ExpectRejected(const std::string& snapshot) {
     Scr strict(ScrOptions{.lambda = 1.5});
-    Status st = LoadScrCache(snapshot, &strict);
+    Status st = LoadScrCache(snapshot, *tmpl_, &strict);
     EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << st.ToString();
 
     Scr lenient(ScrOptions{.lambda = 1.5});
     SnapshotRestoreReport report;
-    st = LoadScrCacheLenient(snapshot, &lenient, &report);
+    st = LoadScrCacheLenient(snapshot, *tmpl_, &lenient, &report);
     ASSERT_TRUE(st.ok()) << st.ToString();
     EXPECT_EQ(report.plans_restored, 0);
     EXPECT_EQ(report.entries_restored, 0);
@@ -357,6 +347,21 @@ TEST_F(CorruptPlanSnapshotTest, NegativeParamSlotIsRejected) {
   ExpectRejected(EditPlan(Snapshot(), 0, kParamSlot, "$01-5 "));
 }
 
+TEST_F(CorruptPlanSnapshotTest, ParamSlotOfAnotherPredicateIsRejected) {
+  // The first parameterized predicate gets the template's other slot: both
+  // are below d, so the plan recosts, but it would read the selectivity of
+  // a predicate on another table.
+  const std::string snapshot = Snapshot();
+  std::smatch m;
+  ASSERT_TRUE(std::regex_search(snapshot, m, std::regex(kParamSlot)));
+  const char other = snapshot[static_cast<size_t>(m.position(0) +
+                                                  m.length(1))] == '0'
+                         ? '1'
+                         : '0';
+  ExpectRejected(EditPlan(snapshot, 0, kParamSlot,
+                          std::string("$01") + other + " "));
+}
+
 TEST_F(CorruptPlanSnapshotTest, PlansWithoutEntriesAreRejected) {
   // No instance entry means no dimension to check the slots against.
   const std::string snapshot = Snapshot();
@@ -374,7 +379,7 @@ TEST_F(CorruptPlanSnapshotTest, LenientRestoreKeepsPlansBeforeTheBadOne) {
   const std::string edited = EditPlan(snapshot, 1, kParamSlot, "$017 ");
   Scr lenient(ScrOptions{.lambda = 1.5});
   SnapshotRestoreReport report;
-  ASSERT_TRUE(LoadScrCacheLenient(edited, &lenient, &report).ok());
+  ASSERT_TRUE(LoadScrCacheLenient(edited, *tmpl_, &lenient, &report).ok());
   EXPECT_EQ(report.plans_restored, 1);
   EXPECT_EQ(report.entries_restored, 0);
   EXPECT_EQ(lenient.NumPlansCached(), 1);
@@ -432,13 +437,13 @@ TEST_F(CachePersistenceTest, MutatedSnapshotsLoadOrFailAndServe) {
       }
     };
     Scr strict(ScrOptions{.lambda = 1.5});
-    if (LoadScrCache(mutated, &strict).ok()) {
+    if (LoadScrCache(mutated, *tmpl_, &strict).ok()) {
       ++strict_loaded;
       serve(&strict);
     }
     Scr lenient(ScrOptions{.lambda = 1.5});
     SnapshotRestoreReport report;
-    if (LoadScrCacheLenient(mutated, &lenient, &report).ok()) {
+    if (LoadScrCacheLenient(mutated, *tmpl_, &lenient, &report).ok()) {
       ++lenient_loaded;
       serve(&lenient);
     }
@@ -447,6 +452,103 @@ TEST_F(CachePersistenceTest, MutatedSnapshotsLoadOrFailAndServe) {
   EXPECT_GT(strict_loaded, 0);
   EXPECT_LT(strict_loaded, kMutations);
   EXPECT_GT(lenient_loaded, strict_loaded);
+}
+
+// --- snapshots of another template: rejected, or a cold start ---
+
+/// TPC-H caches of three named templates: TPCH_PRICING (d = 2),
+/// TPCH_SHIPPING (d = 2, other tables) and TPCH_PARTS (d = 3).
+class CachePersistenceForeignTest : public ::testing::Test {
+ protected:
+  static BoundTemplate Named(const std::string& name) {
+    static const std::vector<BenchmarkDb>* dbs = [] {
+      SchemaScale scale;
+      scale.factor = 0.2;
+      auto* v = new std::vector<BenchmarkDb>();
+      v->push_back(BuildTpchSkewed(scale));
+      return v;
+    }();
+    return BuildNamedTemplate(*dbs, name);
+  }
+
+  static std::vector<WorkloadInstance> Instances(const BoundTemplate& bt,
+                                                 int m) {
+    InstanceGenOptions gen;
+    gen.m = m;
+    return GenerateInstances(bt, gen);
+  }
+
+  /// A snapshot of an SCR cache warmed on `name`.
+  static std::string SnapshotOf(const std::string& name) {
+    BoundTemplate bt = Named(name);
+    Optimizer optimizer(&bt.db->db);
+    EngineContext engine(&bt.db->db, &optimizer);
+    Scr scr(ScrOptions{.lambda = 2.0});
+    for (const WorkloadInstance& wi : Instances(bt, 100)) {
+      scr.OnInstance(wi, &engine);
+    }
+    EXPECT_GT(scr.NumPlansCached(), 0);
+    return SaveScrCache(scr);
+  }
+
+  /// `snapshot` does not fit `name`: the strict loader refuses it, the
+  /// lenient one restores nothing, and the cold cache serves `name`'s
+  /// queries by optimizing them.
+  static void ExpectColdStart(const std::string& snapshot,
+                              const std::string& name) {
+    BoundTemplate bt = Named(name);
+    Scr strict(ScrOptions{.lambda = 2.0});
+    Status st = LoadScrCache(snapshot, *bt.tmpl, &strict);
+    EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << st.ToString();
+
+    Scr lenient(ScrOptions{.lambda = 2.0});
+    SnapshotRestoreReport report;
+    st = LoadScrCacheLenient(snapshot, *bt.tmpl, &lenient, &report);
+    ASSERT_TRUE(st.ok()) << st.ToString();
+    EXPECT_EQ(report.plans_restored, 0);
+    EXPECT_EQ(report.entries_restored, 0);
+    EXPECT_GT(report.records_dropped, 0);
+    EXPECT_FALSE(report.first_error.empty());
+    EXPECT_EQ(lenient.NumPlansCached(), 0);
+    EXPECT_EQ(lenient.NumInstancesStored(), 0);
+
+    Optimizer optimizer(&bt.db->db);
+    EngineContext engine(&bt.db->db, &optimizer);
+    for (const WorkloadInstance& wi : Instances(bt, 20)) {
+      PlanChoice c = lenient.OnInstance(wi, &engine);
+      ASSERT_NE(c.plan, nullptr);
+    }
+    EXPECT_GT(engine.num_optimizer_calls(), 0);
+  }
+};
+
+TEST_F(CachePersistenceForeignTest, SameDimensionOtherTablesLoadsCold) {
+  // Both d = 2: every entry fits, but the plans read lineitem's pricing
+  // columns, not the shipping template's tables.
+  ExpectColdStart(SnapshotOf("TPCH_PRICING"), "TPCH_SHIPPING");
+}
+
+TEST_F(CachePersistenceForeignTest, LowerDimensionSnapshotLoadsCold) {
+  ExpectColdStart(SnapshotOf("TPCH_PRICING"), "TPCH_PARTS");
+}
+
+TEST_F(CachePersistenceForeignTest, HigherDimensionSnapshotLoadsCold) {
+  // d = 3 entries and plans binding slot 2 against a d = 2 template: the
+  // selectivity check used to read past the query's selectivity vector
+  // and the recost abort on the slot.
+  ExpectColdStart(SnapshotOf("TPCH_PARTS"), "TPCH_PRICING");
+}
+
+TEST_F(CachePersistenceForeignTest, OwnSnapshotStillLoads) {
+  const std::string snapshot = SnapshotOf("TPCH_PRICING");
+  BoundTemplate bt = Named("TPCH_PRICING");
+  Scr scr(ScrOptions{.lambda = 2.0});
+  SnapshotRestoreReport report;
+  ASSERT_TRUE(LoadScrCacheLenient(snapshot, *bt.tmpl, &scr, &report).ok());
+  EXPECT_EQ(report.records_dropped, 0);
+  EXPECT_GT(report.plans_restored, 0);
+  Scr strict(ScrOptions{.lambda = 2.0});
+  EXPECT_TRUE(LoadScrCache(snapshot, *bt.tmpl, &strict).ok());
 }
 
 TEST_F(CachePersistenceTest, SaveIsAtomicAndDetectsWriteFailure) {
@@ -465,7 +567,7 @@ TEST_F(CachePersistenceTest, SaveIsAtomicAndDetectsWriteFailure) {
   EXPECT_EQ(std::remove((path + ".tmp").c_str()), -1)
       << "temp file must not outlive a successful save";
   Scr restored(ScrOptions{.lambda = 1.5});
-  EXPECT_TRUE(LoadScrCacheFromFile(path, &restored).ok());
+  EXPECT_TRUE(LoadScrCacheFromFile(path, *tmpl_, &restored).ok());
   EXPECT_EQ(restored.NumPlansCached(), scr.NumPlansCached());
   std::remove(path.c_str());
 

@@ -365,7 +365,7 @@ TEST_F(ChaosServingTest, TruncatedSnapshotRestoresValidPrefix) {
 
   Scr restored(ScrOptions{.lambda = 1.5});
   SnapshotRestoreReport report;
-  Status st = LoadScrCacheFromFileLenient(path, &restored, &report);
+  Status st = LoadScrCacheFromFileLenient(path, *tmpl_, &restored, &report);
   ASSERT_TRUE(st.ok()) << st.ToString();
   EXPECT_LE(restored.NumPlansCached(), scr.NumPlansCached());
   EXPECT_LT(restored.NumInstancesStored(), scr.NumInstancesStored());
@@ -396,7 +396,8 @@ TEST_F(ChaosServingTest, BitFlippedHeaderFailsLoadButServiceColdStarts) {
 
   Scr restored(ScrOptions{.lambda = 1.5});
   SnapshotRestoreReport report;
-  EXPECT_FALSE(LoadScrCacheFromFileLenient(path, &restored, &report).ok());
+  EXPECT_FALSE(
+      LoadScrCacheFromFileLenient(path, *tmpl_, &restored, &report).ok());
 
   // The degradation is a cold start, never a crash.
   EngineContext e2(&db_, &optimizer_);

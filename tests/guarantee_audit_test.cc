@@ -107,18 +107,6 @@ TEST_F(GuaranteeAuditTest, DynamicLambdaTraceAuditsClean) {
   EXPECT_TRUE(report.ok()) << report.ToString();
 }
 
-TEST_F(GuaranteeAuditTest, SpatialIndexTraceAuditsClean) {
-  // The k-d-tree selectivity check must fill the same audit fields as the
-  // scan path.
-  ScrOptions opts;
-  opts.lambda = 2.0;
-  opts.use_spatial_index = true;
-  Scr scr(opts);
-  std::vector<DecisionEvent> events = RunScr(&scr, 300);
-  AuditReport report = AuditTrace(events, ScrConfig(2.0));
-  EXPECT_TRUE(report.ok()) << report.ToString();
-}
-
 TEST_F(GuaranteeAuditTest, SpillyCostModelTraceStillAuditsClean) {
   // Same spilly setup as violation_injection_test: BCG breaks happen at
   // run time and Appendix G quarantines the offending instances, but the

@@ -8,6 +8,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <cstdlib>
 #include <memory>
 #include <new>
@@ -324,10 +325,9 @@ TEST(ScrZeroAllocTest, WarmedReusePathAllocatesNothing) {
   EngineContext engine(&w.db, &w.optimizer);
   ScrOptions opts;
   opts.lambda = 3.0;
-  opts.use_spatial_index = true;
   Scr scr(opts);
 
-  // Warm-up traffic: populate the cache and the kd-tree.
+  // Warm-up traffic: populate the cache.
   for (const WorkloadInstance& wi : w.Warm()) scr.OnInstance(wi, &engine);
 
   // Probes that resolve on the reuse path (hit or miss both stay inside
@@ -370,7 +370,6 @@ TEST(ScrZeroAllocTest, TracedReusePathAllocatesNothing) {
   engine.SetObs(&registry);
   ScrOptions opts;
   opts.lambda = 3.0;
-  opts.use_spatial_index = true;
   Scr scr(opts);
   scr.SetObs(ObsHooks{&tracer, &registry});
   for (const WorkloadInstance& wi : w.Warm()) scr.OnInstance(wi, &engine);
@@ -398,6 +397,91 @@ TEST(ScrZeroAllocTest, TracedReusePathAllocatesNothing) {
   EXPECT_EQ(tracer.total_recorded() + tracer.dropped() - traced_before,
             static_cast<int64_t>(20 * hits.size()))
       << "every measured hit is traced";
+}
+
+TEST(ScrZeroAllocTest, WarmedMissesOverALargeTableAllocateNothing) {
+  // 1,200 entries at d = 4 and probes that pass no selectivity check: each
+  // measured decision scans the whole table, keeps a (distance, position)
+  // pair per entry, shortlists the cost-check candidates and recosts 8 of
+  // them, all in the thread's arena.
+  ReuseWorkload w;
+  std::shared_ptr<QueryTemplate> tmpl = testing::MakeJoinTemplate();
+  PredicateTemplate weight;
+  weight.table_index = 0;
+  weight.column = "f_weight";
+  weight.param_slot = 2;
+  ASSERT_TRUE(tmpl->AddPredicate(weight).ok());
+  PredicateTemplate key;
+  key.table_index = 1;
+  key.column = "d_key";
+  key.param_slot = 3;
+  ASSERT_TRUE(tmpl->AddPredicate(key).ok());
+  ASSERT_EQ(tmpl->dimensions(), 4);
+
+  Pcg32 rng(44);
+  auto random_sv = [&rng] {
+    SVector sv;
+    for (int k = 0; k < 4; ++k) {
+      sv.push_back(std::exp(rng.UniformDouble(std::log(1e-3), 0.0)));
+    }
+    return sv;
+  };
+  std::vector<PlanPtr> plans;
+  for (int i = 0; i < 12; ++i) {
+    const SVector s = random_sv();
+    QueryInstance qi = InstanceForSelectivities(w.db, *tmpl, s);
+    plans.push_back(w.optimizer
+                        .OptimizeWithSVector(qi,
+                                             ComputeSelectivityVector(w.db, qi))
+                        .plan);
+  }
+  std::vector<Scr::SnapshotEntry> entries;
+  for (int i = 0; i < 1200; ++i) {
+    Scr::SnapshotEntry e;
+    e.v = random_sv();
+    e.plan_ordinal = i % static_cast<int>(plans.size());
+    e.opt_cost = rng.UniformDouble(10.0, 1e4);
+    e.subopt = 1.0;
+    e.usage = 1;
+    entries.push_back(std::move(e));
+  }
+  ScrOptions opts;
+  opts.lambda = 1.05;
+  Scr scr(opts);
+  ASSERT_TRUE(scr.Restore(plans, entries).ok());
+  ASSERT_GE(scr.NumInstancesStored(), 1000);
+
+  std::vector<WorkloadInstance> probes(16);
+  for (size_t i = 0; i < probes.size(); ++i) {
+    probes[i].id = static_cast<int>(i);
+    probes[i].svector = random_sv();
+  }
+  EngineContext engine(&w.db, &w.optimizer);
+  // Priming pass: grows the arena to this workload's high-water mark.
+  for (const WorkloadInstance& wi : probes) {
+    PlanChoice choice;
+    (void)scr.TryReuse(wi, &engine, &choice);
+  }
+
+  const int64_t watermark_before = ScratchArena::Tls().watermark();
+  const int64_t allocs_before = g_heap_allocs.load(std::memory_order_relaxed);
+  int full_scans = 0;
+  for (int rep = 0; rep < 20; ++rep) {
+    for (const WorkloadInstance& wi : probes) {
+      PlanChoice choice;
+      (void)scr.TryReuse(wi, &engine, &choice);
+      // Recosts mean no selectivity-check hit: the whole table was scanned.
+      if (choice.recost_calls_in_get_plan > 0 &&
+          choice.cost_check_candidates_in_get_plan == 8) {
+        ++full_scans;
+      }
+    }
+  }
+  const int64_t allocs_after = g_heap_allocs.load(std::memory_order_relaxed);
+  EXPECT_EQ(ScratchArena::Tls().watermark(), watermark_before)
+      << "warmed misses grew the scratch arena";
+  EXPECT_EQ(allocs_after, allocs_before) << "warmed misses hit the heap";
+  EXPECT_EQ(full_scans, 20 * static_cast<int>(probes.size()));
 }
 
 /// A PqoManager over AsyncScr with production observability, warmed on

@@ -373,11 +373,12 @@ int main(int argc, char** argv) {
       return 2;
     }
     // Lenient restore: a truncated or bit-flipped snapshot yields its
-    // valid prefix (a smaller warm cache) instead of an empty one — a
-    // cold start is the worst case, never a crash.
+    // valid prefix (a smaller warm cache) instead of an empty one, and a
+    // snapshot of another template yields none — a cold start is the
+    // worst case, never a crash or a plan that does not fit the query.
     SnapshotRestoreReport restore;
-    Status st = LoadScrCacheFromFileLenient(opts.load_cache, scr_ptr,
-                                            &restore);
+    Status st = LoadScrCacheFromFileLenient(opts.load_cache, *bt.tmpl,
+                                            scr_ptr, &restore);
     if (!st.ok()) {
       std::fprintf(stderr, "cache error: %s\n", st.ToString().c_str());
       return 1;
@@ -386,8 +387,8 @@ int main(int argc, char** argv) {
                 static_cast<long long>(scr_ptr->NumPlansCached()),
                 static_cast<long long>(scr_ptr->NumInstancesStored()));
     if (restore.records_dropped > 0) {
-      std::printf("  snapshot corrupt after valid prefix: dropped %d "
-                  "record%s (%s)\n",
+      std::printf("  valid prefix ends at a corrupt or foreign record: "
+                  "dropped %d record%s (%s)\n",
                   restore.records_dropped,
                   restore.records_dropped == 1 ? "" : "s",
                   restore.first_error.c_str());
