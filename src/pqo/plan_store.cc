@@ -1,5 +1,6 @@
 #include "pqo/plan_store.h"
 
+#include <algorithm>
 #include <limits>
 #include <span>
 
@@ -23,7 +24,7 @@ PlanStore::StoreResult PlanStore::StoreOrReuse(const CachedPlan& plan,
     return result;
   }
 
-  if (lambda_r >= 1.0 && num_live_ > 0) {
+  if (lambda_r >= 1.0 && !live_ids_.empty()) {
     // Redundancy check: one batched Recost sweep over the live cached
     // plans, one program scan each. The sweep stops as soon as the running
     // best is already within lambda_r of optimal — the plan will be
@@ -32,13 +33,9 @@ PlanStore::StoreResult PlanStore::StoreOrReuse(const CachedPlan& plan,
     // scanning the tail.
     ScratchArena& arena = ScratchArena::Tls();
     ScratchArena::Scope scope(arena);
-    ArenaVec<const CachedPlan*> live_plans(
-        arena, static_cast<size_t>(num_live_));
-    ArenaVec<int> live_ids(arena, static_cast<size_t>(num_live_));
-    for (size_t i = 0; i < entries_.size(); ++i) {
-      if (!entries_[i].live) continue;
-      live_plans.push_back(entries_[i].plan.get());
-      live_ids.push_back(static_cast<int>(i));
+    ArenaVec<const CachedPlan*> live_plans(arena, live_ids_.size());
+    for (int id : live_ids_) {
+      live_plans.push_back(entries_[static_cast<size_t>(id)].plan.get());
     }
     ArenaVec<double> costs(arena, live_plans.size());
     costs.resize(live_plans.size());
@@ -61,7 +58,7 @@ PlanStore::StoreResult PlanStore::StoreOrReuse(const CachedPlan& plan,
     if (min_pos < live_plans.size() && opt_cost > 0.0) {
       double s_min = min_cost / opt_cost;
       if (s_min <= lambda_r) {
-        result.plan_id = live_ids[min_pos];
+        result.plan_id = live_ids_[min_pos];
         result.subopt = s_min;
         result.reused_existing = true;
         return result;
@@ -77,26 +74,19 @@ PlanStore::StoreResult PlanStore::StoreOrReuse(const CachedPlan& plan,
   entries_.push_back(std::move(e));
   int id = static_cast<int>(entries_.size()) - 1;
   by_signature_[plan.signature] = id;
-  ++num_live_;
-  peak_ = std::max(peak_, num_live_);
+  live_ids_.push_back(id);
+  peak_ = std::max(peak_, NumLive());
   result.plan_id = id;
   result.subopt = 1.0;
   return result;
-}
-
-std::vector<int> PlanStore::LivePlanIds() const {
-  std::vector<int> ids;
-  for (size_t i = 0; i < entries_.size(); ++i) {
-    if (entries_[i].live) ids.push_back(static_cast<int>(i));
-  }
-  return ids;
 }
 
 void PlanStore::Drop(int plan_id) {
   Entry& e = entry(plan_id);
   SCRPQO_CHECK(e.live, "dropping a plan that is not live");
   e.live = false;
-  --num_live_;
+  live_ids_.erase(
+      std::lower_bound(live_ids_.begin(), live_ids_.end(), plan_id));
   by_signature_.erase(e.plan->signature);
   e.plan.reset();
 }
@@ -104,12 +94,14 @@ void PlanStore::Drop(int plan_id) {
 int PlanStore::MinUsagePlanId(int exclude_plan_id) const {
   int best = -1;
   int64_t best_usage = std::numeric_limits<int64_t>::max();
-  for (size_t i = 0; i < entries_.size(); ++i) {
-    if (!entries_[i].live) continue;
-    if (static_cast<int>(i) == exclude_plan_id) continue;
-    if (entries_[i].total_usage.value() < best_usage) {
-      best_usage = entries_[i].total_usage.value();
-      best = static_cast<int>(i);
+  for (int id : live_ids_) {
+    if (id == exclude_plan_id) continue;
+    // Strict: ties keep the lowest id.
+    const int64_t usage =
+        entries_[static_cast<size_t>(id)].total_usage.value();
+    if (usage < best_usage) {
+      best_usage = usage;
+      best = id;
     }
   }
   return best;

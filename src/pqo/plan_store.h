@@ -3,6 +3,12 @@
 // redundancy check on insert (used natively by SCR, and by the
 // Recost-augmented baseline variants of the paper's Appendix H.6).
 //
+// Plan ids are positions in one append-only entry array: they stay stable
+// and are never reused, and Drop only marks an entry dead. Beside it the
+// store keeps the ascending list of live ids, so every walk over the live
+// plans (the redundancy sweep, the LFU victim search, LivePlanIds) costs
+// O(live plans), not O(plans ever stored).
+//
 // Read-path concurrency: entry() lookups and AddUsage() run under the
 // owning technique's shared (read) lock, so usage counters are relaxed
 // atomics; all structural mutation (StoreOrReuse/Drop) happens under the
@@ -12,6 +18,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "common/atomics.h"
@@ -74,19 +81,22 @@ class PlanStore {
     entries_[static_cast<size_t>(plan_id)].total_usage.Add(delta);
   }
 
-  /// Live plan ids.
-  std::vector<int> LivePlanIds() const;
+  /// Live plan ids, ascending. A view of the store's list: it allocates
+  /// nothing and is invalidated by the next StoreOrReuse or Drop, so a
+  /// caller that drops plans while iterating must iterate a copy.
+  std::span<const int> LivePlanIds() const { return live_ids_; }
 
-  /// Marks a plan dead (budget eviction) and releases the store's
-  /// reference to it, so the CachedPlan is freed once no PlanChoice holds
-  /// it. The caller is responsible for removing instance entries that
-  /// point at it.
+  /// Marks a plan dead (budget eviction), removes it from the live list
+  /// and releases the store's reference to it, so the CachedPlan is freed
+  /// once no PlanChoice holds it. The caller is responsible for removing
+  /// instance entries that point at it.
   void Drop(int plan_id);
 
-  /// Live plan with the minimum total usage (LFU victim), -1 if none.
-  /// `exclude_plan_id` (>= 0) removes one plan from consideration — the
-  /// budget-eviction caller pins the plan just chosen for the in-flight
-  /// instance so the freshest plan can never be its own victim.
+  /// Live plan with the minimum total usage (LFU victim), -1 if none; ties
+  /// go to the lowest id. `exclude_plan_id` (>= 0) removes one plan from
+  /// consideration — the budget-eviction caller pins the plan just chosen
+  /// for the in-flight instance so the freshest plan can never be its own
+  /// victim.
   int MinUsagePlanId(int exclude_plan_id = -1) const;
 
   /// Live plan id with the given structural signature, -1 if absent or
@@ -94,7 +104,7 @@ class PlanStore {
   /// signatures, since plan ids are store-local) back into ids.
   int FindLiveBySignature(uint64_t signature) const;
 
-  int64_t NumLive() const { return num_live_; }
+  int64_t NumLive() const { return static_cast<int64_t>(live_ids_.size()); }
   int64_t Peak() const { return peak_; }
 
  private:
@@ -104,9 +114,11 @@ class PlanStore {
                  "plan id out of range for plan store");
   }
 
+  /// Every plan ever stored, indexed by id; dead entries stay in place.
   std::vector<Entry> entries_;
+  /// Ids of the live entries, ascending (a new id is always the largest).
+  std::vector<int> live_ids_;
   std::map<uint64_t, int> by_signature_;
-  int64_t num_live_ = 0;
   int64_t peak_ = 0;
 };
 

@@ -34,6 +34,12 @@ constexpr double kViolationSlack = 1.02;
 /// under 4e-12 (typically d * 5e-15), so 1e-9 leaves a margin above 250x:
 /// the prefilter skips no entry the exact test would pass, and a distance
 /// is always within kLogSlack of log(G*L).
+///
+/// The same bound orders the cost check's candidates (Section 6.2) without
+/// their exact G*L: two distances more than 2 * kLogSlack apart order
+/// their G*L the same way, so only neighbours closer than that (near-ties)
+/// need the exact product, and no entry farther than 2 * kLogSlack beyond
+/// the k-th smallest distance can be among the k smallest G*L.
 constexpr double kLogSlack = 1e-9;
 
 /// The flat table's coordinates: log(max(s, kSelectivityFloor)) for each of
@@ -287,24 +293,25 @@ bool Scr::TryReuse(const WorkloadInstance& wi, EngineContext* engine,
   // One pass over the flat table in insertion order. An entry whose L1
   // log-distance is within its bound (plus kLogSlack) may pass, so the
   // exact G*L test decides it: the first entry that passes is the hit,
-  // with the g, l, S and lambda of the exact test. Every other enabled
-  // entry becomes a cost-check candidate keyed by its distance.
-  ArenaVec<Candidate> candidates(arena);
+  // with the g, l, S and lambda of the exact test. Every distance is kept
+  // for the cost check; no other entry is touched.
+  // One cache serves one template: an instance of another dimension
+  // matches nothing.
+  const size_t n = sv.size() == dims_ ? instances_.size() : 0;
+  double* dist = arena.AllocateArray<double>(n);
   {
     StageTimer sel_timer(Stage::kSelCheck, stage_hists_[Stage::kSelCheck]);
     start_ns = sel_timer.start_ns();
     if (start_ns_out != nullptr) *start_ns_out = start_ns;
-    // One cache serves one template: an instance of another dimension
-    // matches nothing.
     const size_t d = dims_;
-    const size_t n = sv.size() == d ? instances_.size() : 0;
     double* q = arena.AllocateArray<double>(d);
     if (n > 0) LogSelectivities(sv.data(), d, q);
     const double* row = log_rows_.data();
     for (size_t i = 0; i < n; ++i, row += d) {
-      const double dist = L1Distance(q, row, d);
-      InstanceEntry& e = instances_[i];
-      if (!(dist > log_bounds_[i] + kLogSlack)) {
+      const double dist_i = L1Distance(q, row, d);
+      dist[i] = dist_i;
+      if (!(dist_i > log_bounds_[i] + kLogSlack)) {
+        InstanceEntry& e = instances_[i];
         const GlFactors gl = ComputeGlFast(e.v, sv);
         if (gl.g * gl.l <= LambdaFor(e) / e.subopt) {
           e.usage.Add(1);
@@ -325,13 +332,14 @@ bool Scr::TryReuse(const WorkloadInstance& wi, EngineContext* engine,
           return true;
         }
       }
-      if (options_.enable_cost_check && !e.cost_check_disabled.value()) {
-        candidates.push_back(Candidate{dist, i, 0.0, 0.0});
-      }
     }
   }
 
   // ---- Cost check (Algorithm 1, second loop) ----
+  ArenaVec<Candidate> candidates(arena);
+  if (options_.enable_cost_check) {
+    CollectCandidates(dist, n, arena, &candidates);
+  }
   OrderCandidates(&candidates, sv);
   choice.cost_check_candidates_in_get_plan =
       static_cast<int>(candidates.size());
@@ -355,7 +363,7 @@ bool Scr::TryReuse(const WorkloadInstance& wi, EngineContext* engine,
     cand_costs.resize(candidates.size());
     std::span<double> cost_span(cand_costs.data(), cand_costs.size());
     auto cost_visitor = [&](size_t idx, double new_cost) {
-      const Candidate& c = candidates[idx];
+      Candidate& c = candidates[idx];
       InstanceEntry& e = instances_[c.entry];
       ++recosts;
       double r = new_cost / std::max(e.opt_cost, 1e-30);
@@ -374,14 +382,16 @@ bool Scr::TryReuse(const WorkloadInstance& wi, EngineContext* engine,
         return true;
       }
 
+      // The exact G and L, unless a near-tie in OrderCandidates needed
+      // them already.
+      if (c.l == 0.0) FillGl(c, sv);
       if (options_.detect_violations) {
         // Appendix G: the cached plan's cost at qe is S * C. BCG
         // implies cost(P, qc) <= G * cost(P, qe) and
         // >= cost(P, qe) / L; observing either bound broken means the
         // assumption failed for this entry.
-        GlFactors gl = ComputeGlFast(e.v, sv);
         double plan_cost_at_e = e.subopt * e.opt_cost;
-        if (new_cost > kViolationSlack * gl.g * plan_cost_at_e ||
+        if (new_cost > kViolationSlack * c.g * plan_cost_at_e ||
             new_cost * kViolationSlack < plan_cost_at_e / c.l) {
           e.cost_check_disabled.Store(true);
           violations_detected_.Add(1);
@@ -422,7 +432,8 @@ bool Scr::TryReuse(const WorkloadInstance& wi, EngineContext* engine,
       DecisionEvent ev;
       ev.outcome = DecisionOutcome::kCostCheckHit;
       ev.matched_entry = static_cast<int32_t>(c.entry);
-      ev.g = c.l > 0.0 ? c.gl / c.l : -1.0;
+      // G*L / L, as the list scan reported it (not always G bit for bit).
+      ev.g = c.g * c.l / c.l;
       ev.l = c.l;
       ev.r = hit_r;
       ev.subopt = e.subopt;
@@ -440,11 +451,58 @@ bool Scr::TryReuse(const WorkloadInstance& wi, EngineContext* engine,
 }
 
 SCRPQO_HOT SCRPQO_NOALLOC SCRPQO_NONBLOCKING SCRPQO_LOCK_BOUNDED()
+void Scr::CollectCandidates(double* dist, size_t n, ScratchArena& arena,
+                            ArenaVec<Candidate>* candidates) const {
+  // scrpqo-lint: hot-path begin
+  const int max_candidates = options_.max_cost_check_candidates;
+  const size_t cap =
+      max_candidates > 0 ? static_cast<size_t>(max_candidates) : n;
+  const bool shortlist =
+      options_.cost_check_order == CostCheckOrder::kAscendingGl && cap < n;
+  double cut = std::numeric_limits<double>::infinity();
+  if (shortlist) {
+    // The cap smallest enabled distances, in a max-heap: most entries cost
+    // one comparison with the current cap-th smallest. A disabled entry's
+    // distance becomes NaN, which the collection below skips, so the cut
+    // and the collection see the same flags.
+    double* top = arena.AllocateArray<double>(cap);
+    size_t enabled = 0;
+    for (size_t i = 0; i < n; ++i) {
+      if (instances_[i].cost_check_disabled.value()) {
+        dist[i] = std::numeric_limits<double>::quiet_NaN();
+        continue;
+      }
+      if (enabled < cap) {
+        top[enabled] = dist[i];
+        std::push_heap(top, top + enabled + 1);
+      } else if (dist[i] < top[0]) {
+        std::pop_heap(top, top + cap);
+        top[cap - 1] = dist[i];
+        std::push_heap(top, top + cap);
+      }
+      ++enabled;
+    }
+    // Section 6.2 keeps the cap smallest G*L. A distance is within
+    // kLogSlack of log(G*L), so every entry whose G*L can tie or beat the
+    // cap-th smallest has a distance within 2 * kLogSlack of the cap-th
+    // smallest distance.
+    if (enabled > cap) cut = top[0] + 2.0 * kLogSlack;
+  }
+  candidates->reserve(shortlist ? cap : n);
+  for (size_t i = 0; i < n; ++i) {
+    const bool keep = shortlist ? dist[i] <= cut
+                                : !instances_[i].cost_check_disabled.value();
+    if (keep) candidates->push_back(Candidate{dist[i], i, 0.0, 0.0});
+  }
+  // scrpqo-lint: hot-path end
+}
+
+SCRPQO_HOT SCRPQO_NOALLOC SCRPQO_NONBLOCKING SCRPQO_LOCK_BOUNDED()
 void Scr::OrderCandidates(ArenaVec<Candidate>* candidates,
                           const SVector& sv) const {
   // scrpqo-lint: hot-path begin
   Candidate* first = candidates->data();
-  size_t n = candidates->size();
+  const size_t n = candidates->size();
   const size_t k =
       options_.max_cost_check_candidates > 0
           ? std::min(n, static_cast<size_t>(options_.max_cost_check_candidates))
@@ -454,31 +512,33 @@ void Scr::OrderCandidates(ArenaVec<Candidate>* candidates,
   const auto by_key = [](const Candidate& a, const Candidate& b) {
     return a.key < b.key || (a.key == b.key && a.entry < b.entry);
   };
-  const auto fill_gl = [&](Candidate& c) {
-    const GlFactors gl = ComputeGlFast(instances_[c.entry].v, sv);
-    c.gl = gl.g * gl.l;
-    c.l = gl.l;
-  };
   switch (options_.cost_check_order) {
-    case CostCheckOrder::kAscendingGl:
-      // Section 6.2: small G*L is most likely to pass. A distance is within
-      // kLogSlack of log(G*L), so every candidate whose G*L can tie or beat
-      // the k-th smallest has a distance within 2 * kLogSlack of the k-th
-      // smallest distance. Only that shortlist needs the exact G*L.
-      if (k > 0 && k < n) {
-        std::nth_element(first, first + (k - 1), first + n, by_key);
-        const double cut = first[k - 1].key + 2.0 * kLogSlack;
-        n = static_cast<size_t>(
-            std::partition(first, first + n,
-                           [cut](const Candidate& c) { return c.key <= cut; }) -
-            first);
+    case CostCheckOrder::kAscendingGl: {
+      // Section 6.2: small G*L is most likely to pass. The keys are
+      // distances, each within kLogSlack of log(G*L), so (distance,
+      // position) order is (G*L, position) order except inside a run of
+      // neighbours within 2 * kLogSlack of each other (the negated test
+      // also joins equal infinite distances). Such a run gets the exact
+      // G*L; runs that start at or past position k are cut anyway.
+      const auto by_gl = [](const Candidate& a, const Candidate& b) {
+        const double a_gl = a.g * a.l;
+        const double b_gl = b.g * b.l;
+        return a_gl < b_gl || (a_gl == b_gl && a.entry < b.entry);
+      };
+      std::sort(first, first + n, by_key);
+      for (size_t i = 0; i < k;) {
+        size_t j = i + 1;
+        while (j < n && !(first[j].key - first[j - 1].key > 2.0 * kLogSlack)) {
+          ++j;
+        }
+        if (j - i > 1) {
+          for (size_t m = i; m < j; ++m) FillGl(first[m], sv);
+          std::sort(first + i, first + j, by_gl);
+        }
+        i = j;
       }
-      for (size_t i = 0; i < n; ++i) {
-        fill_gl(first[i]);
-        first[i].key = first[i].gl;
-      }
-      std::partial_sort(first, first + k, first + n, by_key);
       break;
+    }
     case CostCheckOrder::kDescendingRegionArea:
       // The selectivity-based region grows with the product of the entry's
       // selectivities (Section 5.3); bigger regions are broader matches, so
@@ -499,10 +559,14 @@ void Scr::OrderCandidates(ArenaVec<Candidate>* candidates,
       break;  // already in table order
   }
   candidates->resize(k);
-  if (options_.cost_check_order != CostCheckOrder::kAscendingGl) {
-    for (size_t i = 0; i < k; ++i) fill_gl(first[i]);
-  }
   // scrpqo-lint: hot-path end
+}
+
+SCRPQO_HOT SCRPQO_NOALLOC SCRPQO_NONBLOCKING SCRPQO_LOCK_BOUNDED()
+void Scr::FillGl(Candidate& c, const SVector& sv) const {
+  const GlFactors gl = ComputeGlFast(instances_[c.entry].v, sv);
+  c.g = gl.g;
+  c.l = gl.l;
 }
 
 void Scr::ManageCache(const WorkloadInstance& wi,
@@ -728,7 +792,10 @@ Status Scr::Restore(const std::vector<PlanPtr>& plans,
 
 int Scr::DropRedundantPlans(EngineContext* engine) {
   int dropped = 0;
-  for (int plan_id : store_.LivePlanIds()) {
+  // A copy: dropping a plan edits the store's live list.
+  const std::span<const int> live = store_.LivePlanIds();
+  const std::vector<int> live_ids(live.begin(), live.end());
+  for (int plan_id : live_ids) {
     // Collect the instances served by this plan.
     std::vector<size_t> served;
     for (size_t i = 0; i < instances_.size(); ++i) {

@@ -216,13 +216,16 @@ class Scr : public PqoTechnique {
 
   /// A cost-check candidate: a position in `instances_` whose entry failed
   /// the selectivity check and is not excluded from the cost check. `key`
-  /// is what OrderCandidates selects by (first the L1 log-distance, which
-  /// the kAscendingGl order then replaces by the exact G*L); `gl` and `l`
-  /// are the entry's exact G*L and L, filled for the selected candidates.
+  /// is what OrderCandidates orders by: the entry's L1 log-distance for
+  /// kAscendingGl, the order's own key otherwise. `g` and `l` are the
+  /// entry's exact G and L against the query, computed only where they are
+  /// needed (a near-tie run in OrderCandidates, or when the recost sweep
+  /// reaches the candidate); `l` is 0 until then, as ComputeGlFast never
+  /// returns an L below 1.
   struct Candidate {
     double key;
     size_t entry;
-    double gl;
+    double g;
     double l;
   };
 
@@ -240,11 +243,31 @@ class Scr : public PqoTechnique {
   /// serves one template).
   void AppendEntry(InstanceEntry entry);
 
-  /// Orders `candidates` for the cost check by `cost_check_order`, keeps
-  /// the first max_cost_check_candidates (ties by table position), and
-  /// fills each kept candidate's exact `gl` and `l` against `sv`.
+  /// Collects a selectivity-check miss's cost-check candidates, in table
+  /// order, from the distances `dist[0, n)` the selectivity pass recorded,
+  /// reading each entry's cost_check_disabled once (AsyncScr readers set it
+  /// concurrently). For kAscendingGl under a cap k with more than k enabled
+  /// entries it keeps only the shortlist: the entries within 2 * kLogSlack
+  /// of the k-th smallest enabled distance, a superset of the k smallest
+  /// G*L and their ties. Otherwise it keeps every enabled entry. Overwrites
+  /// a disabled entry's distance with NaN; the shortlist's heap comes from
+  /// `arena`.
+  void CollectCandidates(double* dist, size_t n, ScratchArena& arena,
+                         ArenaVec<Candidate>* candidates) const;
+
+  /// Orders `candidates` for the cost check by `cost_check_order` and keeps
+  /// the first max_cost_check_candidates, ties by table position. For
+  /// ascending G*L the keys are distances, each within kLogSlack of
+  /// log(G*L): candidates sort by (distance, position), and only a run of
+  /// neighbours within 2 * kLogSlack of each other gets its exact G and L
+  /// and re-sorts by (G*L, position). That is the exact (G*L, position)
+  /// order, because distances farther apart order their G*L the same way.
+  /// Any other candidate's G and L wait for the recost sweep (FillGl).
   void OrderCandidates(ArenaVec<Candidate>* candidates,
                        const SVector& sv) const;
+
+  /// Fills `c`'s exact G and L against `sv` (ComputeGlFast).
+  void FillGl(Candidate& c, const SVector& sv) const;
 
   /// Relative area of the entry's selectivity-based inference region
   /// (Section 5.3), used by CostCheckOrder::kDescendingRegionArea.

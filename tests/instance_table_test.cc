@@ -452,5 +452,80 @@ TEST(ScrInstanceTableBoundTest, QueryOfAnotherDimensionMatchesNothing) {
   EXPECT_TRUE(scr.TryReuse(same, &engine, &choice));
 }
 
+TEST(ScrCostCheckOrderTest, ExactGlTiesGoToTheEarlierEntry) {
+  // Query (a, b) and two entries, (a/2, b) then (a, 2b): both have G*L = 2
+  // exactly, so under lambda = 1.5 both fail the selectivity check and tie
+  // in Section 6.2's ascending-G*L order, which breaks ties by table
+  // position. (a, b) is picked so that rounding puts the later entry's L1
+  // log-distance below the earlier one's: ordered by distance alone, the
+  // later entry would be recosted first, and kept alone under cap 1. Both
+  // entries pass the cost check inside the Appendix-G bounds, so the first
+  // one recosted serves the query.
+  const Pool pool(2);
+  const std::shared_ptr<const OptimizationResult> result =
+      pool.oracle.result(0);
+  EngineContext engine(&pool.bt.db->db, &pool.optimizer);
+  double a = 0.0;
+  double b = 0.0;
+  for (int i = 1; i <= 100 && a == 0.0; ++i) {
+    for (int j = 1; j <= 50; ++j) {
+      // The distances as Scr computes them: each entry differs from the
+      // query in one coordinate.
+      const double qa = 0.01 * i;
+      const double qb = 0.01 * j;
+      const double earlier = std::fabs(std::log(qa) - std::log(qa / 2.0));
+      const double later = std::fabs(std::log(qb) - std::log(2.0 * qb));
+      if (later < earlier) {
+        a = qa;
+        b = qb;
+        break;
+      }
+    }
+  }
+  ASSERT_GT(a, 0.0) << "no grid point where rounding favours the later entry";
+  const SVector query = {a, b};
+  ASSERT_EQ(ComputeGlFast({a / 2.0, b}, query).g, 2.0);
+  ASSERT_EQ(ComputeGlFast({a / 2.0, b}, query).l, 1.0);
+  ASSERT_EQ(ComputeGlFast({a, 2.0 * b}, query).g, 1.0);
+  ASSERT_EQ(ComputeGlFast({a, 2.0 * b}, query).l, 2.0);
+
+  // The plan's cost at the query is C. The earlier entry (G = 2, L = 1,
+  // optimal cost C) sees R = 1; the later one (G = 1, L = 2, optimal cost
+  // 1.4 C) sees R = 1/1.4, so R * L is 1 and 1.43, both within 1.5, and
+  // both recosts lie inside [S * C_e / L, G * S * C_e].
+  OptimizationResult compiled;
+  compiled.plan = result->plan;
+  const double cost = engine.Recost(MakeCachedPlan(compiled), query);
+  ASSERT_GT(cost, 0.0);
+  std::vector<Scr::SnapshotEntry> entries(2);
+  entries[0].v = {a / 2.0, b};
+  entries[0].opt_cost = cost;
+  entries[1].v = {a, 2.0 * b};
+  entries[1].opt_cost = 1.4 * cost;
+  for (Scr::SnapshotEntry& e : entries) {
+    e.plan_ordinal = 0;
+    e.usage = 1;
+  }
+
+  for (int cap : {0, 1, 8}) {
+    Scr scr(ScrOptions{.lambda = 1.5, .max_cost_check_candidates = cap});
+    ASSERT_TRUE(scr.Restore({result->plan}, entries).ok());
+    RingTracer tracer(1 << 4);
+    scr.SetObs(ObsHooks{&tracer, nullptr});
+    WorkloadInstance wi;
+    wi.svector = query;
+    PlanChoice choice;
+    ASSERT_TRUE(scr.TryReuse(wi, &engine, &choice)) << "cap " << cap;
+    EXPECT_EQ(choice.cost_check_candidates_in_get_plan, cap == 1 ? 1 : 2)
+        << "cap " << cap;
+    EXPECT_EQ(choice.recost_calls_in_get_plan, 1) << "cap " << cap;
+    const std::vector<DecisionEvent> events = tracer.Snapshot();
+    ASSERT_EQ(events.size(), 1u) << "cap " << cap;
+    EXPECT_EQ(events[0].outcome, DecisionOutcome::kCostCheckHit);
+    EXPECT_EQ(events[0].matched_entry, 0) << "cap " << cap;
+    EXPECT_EQ(events[0].l, 1.0) << "cap " << cap;
+  }
+}
+
 }  // namespace
 }  // namespace scrpqo

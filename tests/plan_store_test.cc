@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <limits>
 #include <memory>
+#include <span>
 
 #include "pqo/plan_store.h"
 #include "query/query_instance.h"
@@ -145,6 +149,66 @@ TEST_F(PlanStoreTest, EntryOutOfRangeDies) {
   EXPECT_DEATH((void)store.entry(-1), "plan id out of range");
   EXPECT_DEATH((void)store.entry(r.plan_id + 1), "plan id out of range");
   EXPECT_DEATH(store.AddUsage(12345, 1), "plan id out of range");
+}
+
+TEST_F(PlanStoreTest, LiveListSkipsDeadPlansAndKeepsLowestIdTies) {
+  // 1,000 plans (one optimized plan under distinct signatures) with usage
+  // counts full of ties, every other one dropped: the live list holds the
+  // survivors in ascending id order, and the LFU victim equals a scan over
+  // every id ever stored, ties to the lowest id, with and without a pin.
+  PlanStore store;
+  const Optimized o = OptimizeAt(0.1, 0.5);
+  const int n = 1000;
+  for (int i = 0; i < n; ++i) {
+    CachedPlan plan = o.plan;
+    plan.signature = 0x9e3779b97f4a7c15ULL * static_cast<uint64_t>(i + 1);
+    auto r = store.StoreOrReuse(plan, o.sv, o.cost, -1.0, &engine_);
+    ASSERT_EQ(r.plan_id, i);
+    store.AddUsage(i, (i * 37) % 11);
+  }
+  for (int i = 0; i < n; i += 2) store.Drop(i);
+
+  const std::span<const int> live = store.LivePlanIds();
+  ASSERT_EQ(live.size(), static_cast<size_t>(n / 2));
+  EXPECT_EQ(store.NumLive(), n / 2);
+  EXPECT_TRUE(std::adjacent_find(live.begin(), live.end(),
+                                 [](int a, int b) { return a >= b; }) ==
+              live.end())
+      << "live ids are not strictly ascending";
+  for (int id : live) {
+    EXPECT_EQ(id % 2, 1);
+    EXPECT_TRUE(store.entry(id).live);
+  }
+
+  const auto reference = [&](int exclude) {
+    int best = -1;
+    int64_t best_usage = std::numeric_limits<int64_t>::max();
+    for (int id = 0; id < n; ++id) {
+      const PlanStore::Entry& e = store.entry(id);
+      if (!e.live || id == exclude) continue;
+      if (e.total_usage.value() < best_usage) {
+        best_usage = e.total_usage.value();
+        best = id;
+      }
+    }
+    return best;
+  };
+  const int victim = store.MinUsagePlanId();
+  EXPECT_EQ(victim, reference(-1));
+  EXPECT_EQ(victim, 11);  // the lowest odd id with usage 0
+  for (int exclude : {victim, 0, 33, n - 1, n + 5}) {
+    EXPECT_EQ(store.MinUsagePlanId(exclude), reference(exclude)) << exclude;
+  }
+  EXPECT_EQ(store.MinUsagePlanId(victim), 33);
+
+  // Ids are never reused: the next plan gets a new id at the list's end.
+  CachedPlan next = o.plan;
+  next.signature = 42;
+  auto r = store.StoreOrReuse(next, o.sv, o.cost, -1.0, &engine_);
+  EXPECT_EQ(r.plan_id, n);
+  EXPECT_EQ(store.LivePlanIds().back(), n);
+  EXPECT_EQ(store.NumLive(), n / 2 + 1);
+  EXPECT_EQ(store.Peak(), n);
 }
 
 TEST_F(PlanStoreTest, PeakTracksHighWaterMark) {

@@ -393,14 +393,87 @@ def _match_fwd(toks: list[Token], open_: int, op: str = "{",
     return len(toks) - 1
 
 
-def _skip_template_args(toks: list[Token], open_: int, end: int) -> int | None:
+def _has_contents(toks: list[Token], open_: int, end: int) -> bool:
+    """Whether the `(` or `{` at `open_` holds constructor arguments other
+    than a lone `std::move(x)` (a move allocates nothing)."""
+    cl = ")" if toks[open_].txt == "(" else "}"
+    close = min(_match_fwd(toks, open_, toks[open_].txt, cl), end)
+    inner = [t.txt for t in toks[open_ + 1:close]]
+    if not inner:
+        return False
+    if inner[:4] == ["std", "::", "move", "("] and \
+            _match_fwd(toks, open_ + 4, "(", ")") == close - 1:
+        return False
+    return True
+
+
+def _init_allocates(toks: list[Token], start: int, end: int) -> bool:
+    """Whether the initializer after `T name =` (tokens from `start` up to
+    the `;`) copies or fills an owning container. A braced list does when
+    not empty; the result of a call (`Make()`, `std::move(x)`) is moved or
+    elided into place and allocates nothing here (a project callee is
+    analyzed on its own); any other value (`other`, `"text"`) is copied."""
+    if start >= end:
+        return False
+    if toks[start].txt == "{":
+        return _has_contents(toks, start, end)
+    depth = 0
+    last = start
+    for k in range(start, end):
+        t = toks[k].txt
+        if t in ("(", "[", "{"):
+            depth += 1
+        elif t in (")", "]", "}"):
+            depth -= 1
+        elif t == ";" and depth == 0:
+            break
+        last = k
+    if toks[last].txt == ")":
+        open_ = _match_back(toks, last)
+        if open_ > start and re.match(r"[A-Za-z_]\w*$|>$",
+                                      toks[open_ - 1].txt):
+            return False
+    return True
+
+
+def _container_ctor_allocates(toks: list[Token], i: int, end: int) -> bool:
+    """Whether the owning std container named at toks[i] (after `std::`)
+    is constructed with contents: a size, a fill value, an initializer
+    list or a copy, as a declaration (`std::vector<int> v(4);`,
+    `v{1, 2}`, `v = other;`) or a temporary (`std::vector<int>(4)`).
+    Default construction, references, pointers, nested names
+    (`std::vector<int>::iterator`), template arguments and trailing return
+    types are not."""
+    if i >= 3 and toks[i - 3].txt == "->":
+        return False
+    p = i + 1
+    if p < end and toks[p].txt == "<":
+        close = _close_template_args(toks, p, end)
+        if close is None:
+            return False
+        p = close + 1
+    if p >= end:
+        return False
+    t = toks[p].txt
+    if t in ("(", "{"):
+        return _has_contents(toks, p, end)
+    if not re.match(r"[A-Za-z_]\w*$", t) or t in NOT_A_TYPE or \
+            p + 1 >= end:
+        return False
+    t = toks[p + 1].txt
+    if t in ("(", "{"):
+        return _has_contents(toks, p + 1, end)
+    if t == "=":
+        return _init_allocates(toks, p + 2, end)
+    return False
+
+
+def _close_template_args(toks: list[Token], open_: int,
+                         end: int) -> int | None:
     """Balanced scan over `<...>` starting at the '<' at `open_`. Returns
-    the index of a '(' immediately after the matching '>' — i.e. the token
-    where an explicit-template-argument call's argument list begins — or
-    None when the brackets don't close within a short window, a non-type
-    token appears inside, or no call parenthesis follows. Conservative on
-    purpose: a false negative only loses one call edge, while a false
-    positive would invent one from a `<` comparison."""
+    the index of the matching '>', or None when the brackets don't close
+    within a short window or a non-type token appears inside, so an
+    ordinary `a < b` comparison never parses as template arguments."""
     depth = 0
     limit = min(end, open_ + 64)
     for k in range(open_, limit):
@@ -410,13 +483,23 @@ def _skip_template_args(toks: list[Token], open_: int, end: int) -> int | None:
         elif t == ">":
             depth -= 1
             if depth == 0:
-                if k + 1 < end and toks[k + 1].txt == "(":
-                    return k + 1
-                return None
+                return k
         elif t in TEMPLATE_ARG_TOKENS:
             continue
         elif not re.match(r"[A-Za-z_]\w*$|\d[\w.+-]*$", t):
             return None
+    return None
+
+
+def _skip_template_args(toks: list[Token], open_: int, end: int) -> int | None:
+    """The index of a '(' immediately after the template arguments opened
+    at `open_` — i.e. the token where an explicit-template-argument call's
+    argument list begins — or None. Conservative on purpose: a false
+    negative only loses one call edge, while a false positive would invent
+    one from a `<` comparison."""
+    close = _close_template_args(toks, open_, end)
+    if close is not None and close + 1 < end and toks[close + 1].txt == "(":
+        return close + 1
     return None
 
 
@@ -905,6 +988,15 @@ def _extract_body(model: Model, src: SourceFile, toks: list[Token],
                 f"{t} acquires `{cap}`", cap=cap))
             i = close + 1
             continue
+
+        # Owning std container constructed with contents (a size, a fill
+        # value, an initializer list or a copy).
+        if t in STD_CONTAINERS and i >= 2 and toks[i - 1].txt == "::" and \
+                toks[i - 2].txt == "std" and \
+                _container_ctor_allocates(toks, i, end):
+            f.effects.append(Effect(
+                "alloc", tok.line,
+                f"std::{t} constructed with contents allocates"))
 
         # Call site: IDENT '(' — or IDENT '<' targs '>' '(' with explicit
         # template arguments (AllocateArray<uint8_t>(n), make_unique<T>(),
