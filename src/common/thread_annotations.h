@@ -15,10 +15,9 @@
 //     WriterMutexLock — thin wrappers over the std primitives that carry
 //     the CAPABILITY / SCOPED_CAPABILITY attributes the analysis needs.
 //     Raw std::mutex / std::shared_mutex / std::condition_variable are
-//     banned outside this header (enforced by tools/lint/scrpqo_lint.py
-//     rule `raw-mutex` and by the thread-safety CI job), because a raw
-//     mutex is invisible to the analysis and silently exempts every field
-//     it guards.
+//     banned outside this header (enforced by the `raw-mutex` rule of
+//     tools/analyze/scrpqo_effects.py), because a raw mutex is invisible
+//     to the analysis and silently exempts every field it guards.
 //
 // The wrapper API mirrors abseil's Mutex/MutexLock shape (the canonical
 // battle-tested user of these attributes) rather than the std lock

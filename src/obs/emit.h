@@ -2,9 +2,9 @@
 // the obs layer.
 //
 // Emitters (Scr, Pcm, PqoManager, the online auditor) must not call
-// RingTracer::Record directly: the project lint rule
-// `tracer-record-outside-obs` (tools/lint/scrpqo_lint.py) flags direct
-// Record calls anywhere under src/ except src/obs/, so capture-path policy
+// RingTracer::Record directly: the analyzer rule `tracer-record-outside-obs`
+// (tools/analyze/scrpqo_effects.py) flags direct Record calls anywhere
+// under src/ except src/obs/, so capture-path policy
 // — null-tracer handling today; sampling, rate-limiting, or event
 // validation tomorrow — has exactly one place to live instead of being
 // re-implemented per emitter.

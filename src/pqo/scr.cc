@@ -281,7 +281,6 @@ bool Scr::TryReuse(const WorkloadInstance& wi, EngineContext* engine,
   PlanChoice& choice = *choice_out;
   const SVector& sv = wi.svector;
 
-  // scrpqo-lint: hot-path begin
   // Everything below runs once per query on the reuse path; after warm-up
   // it must not touch the heap (ScrZeroAllocTest in recost_test.cc asserts
   // this with the arena watermark). Scratch lives in the thread's arena and
@@ -447,13 +446,11 @@ bool Scr::TryReuse(const WorkloadInstance& wi, EngineContext* engine,
   max_recost_calls_per_get_plan_.UpdateMax(recosts);
   choice.recost_calls_in_get_plan = recosts;
   return false;
-  // scrpqo-lint: hot-path end
 }
 
 SCRPQO_HOT SCRPQO_NOALLOC SCRPQO_NONBLOCKING SCRPQO_LOCK_BOUNDED()
 void Scr::CollectCandidates(double* dist, size_t n, ScratchArena& arena,
                             ArenaVec<Candidate>* candidates) const {
-  // scrpqo-lint: hot-path begin
   const int max_candidates = options_.max_cost_check_candidates;
   const size_t cap =
       max_candidates > 0 ? static_cast<size_t>(max_candidates) : n;
@@ -494,13 +491,11 @@ void Scr::CollectCandidates(double* dist, size_t n, ScratchArena& arena,
                                 : !instances_[i].cost_check_disabled.value();
     if (keep) candidates->push_back(Candidate{dist[i], i, 0.0, 0.0});
   }
-  // scrpqo-lint: hot-path end
 }
 
 SCRPQO_HOT SCRPQO_NOALLOC SCRPQO_NONBLOCKING SCRPQO_LOCK_BOUNDED()
 void Scr::OrderCandidates(ArenaVec<Candidate>* candidates,
                           const SVector& sv) const {
-  // scrpqo-lint: hot-path begin
   Candidate* first = candidates->data();
   const size_t n = candidates->size();
   const size_t k =
@@ -559,7 +554,6 @@ void Scr::OrderCandidates(ArenaVec<Candidate>* candidates,
       break;  // already in table order
   }
   candidates->resize(k);
-  // scrpqo-lint: hot-path end
 }
 
 SCRPQO_HOT SCRPQO_NOALLOC SCRPQO_NONBLOCKING SCRPQO_LOCK_BOUNDED()

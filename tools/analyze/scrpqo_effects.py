@@ -1,11 +1,33 @@
 #!/usr/bin/env python3
-"""Whole-program effect analyzer for the scrpqo tree.
+"""Static analyzer for the scrpqo tree: lexical rules, effect contracts.
 
-Where tools/lint/scrpqo_lint.py enforces *per-line lexical* invariants,
-this tool proves *transitive* contracts over the real project call graph:
-it extracts every function definition under src/, computes a direct
+Lexical rules check each line of the files in their path scope:
+
+  atomic-order               src/pqo/, src/obs/: every std::atomic
+                             load/store/exchange/fetch_*/CAS names an
+                             explicit std::memory_order. A bare `x.load()`
+                             buys a seq_cst fence on the getPlan path; use
+                             RelaxedCounter (Store/Add/value) or say the
+                             order.
+  blocking-under-lock        src/pqo/: no engine Optimize, sink
+                             Consume/Flush, stream/file I/O, sleep or
+                             thread join while a Mutex/SharedMutex scope is
+                             active. A template or shard lock held across an
+                             optimizer call serializes that template.
+  tracer-record-outside-obs  src/ outside src/obs/: RingTracer::Record is
+                             called only through EmitDecisionEvent
+                             (obs/emit.h), so capture policy has one funnel.
+  nodiscard-status           src/common/: every class/struct named Status
+                             or Result carries [[nodiscard]].
+  raw-mutex                  src/ outside common/thread_annotations.h: no
+                             raw std mutex, condition variable or lock
+                             adapter. They are invisible to the
+                             thread-safety analysis.
+
+Effect rules prove transitive contracts over the project call graph. The
+analyzer extracts every function definition under src/, computes a direct
 effect lattice per function, propagates effects along call edges, and
-verifies the contracts declared with the src/common/effects.h macros —
+verifies the contracts declared with the src/common/effects.h macros:
 
   SCRPQO_NOALLOC           rule `alloc`  no reachable heap allocation
   SCRPQO_NONBLOCKING       rule `block`  no reachable sleep/IO/condvar wait
@@ -18,42 +40,32 @@ verifies the contracts declared with the src/common/effects.h macros —
   SCRPQO_HOT               registry tag: listed in the findings JSON;
                                          warns when carrying no contract
 
-Escapes are `SCRPQO_EFFECT_ALLOW(rule, "justification")` markers. The
-justification must be a non-empty string literal — an empty one is itself
-a gating finding (rule `allow`), so no escape is ever silent. A marker on
-a function's signature sanctions the rule for the whole function and
-stops traversal into its callees; a marker on its own line covers the
-next non-blank line; trailing a statement it covers that line.
+Every violation of a contract is reported with a shortest call-chain
+witness from the annotated root to the offending effect site. Beyond the
+contracts the analyzer verifies that every SCRPQO_LOCK_BOUNDED capability
+names a declared Mutex/SharedMutex member, that the TSA ACQUIRED_BEFORE
+edges and the DESIGN.md §4g lock-order DAG have an acyclic union, and that
+no TU is compiled with -ffast-math / -funsafe-math-optimizations.
 
-Every violation is reported with a shortest call-chain witness from the
-annotated root to the offending effect site, plus machine-readable JSON
-(--json) for the CI artifact.
+Escapes are `SCRPQO_EFFECT_ALLOW(rule, "justification")` markers, for any
+of the ten rules. The justification must be a non-empty string literal and
+the rule must exist, or the marker is itself a gating finding (rule
+`allow`). A marker on a function's signature sanctions the rule for the
+whole function (for an effect rule it also stops traversal into the
+function); a marker on its own line covers the next non-blank line;
+trailing a statement it covers that line.
 
-Cross-checks beyond the contracts themselves:
-  - every SCRPQO_LOCK_BOUNDED capability must name a declared
-    scrpqo::Mutex/SharedMutex member (typo guard against the PR 6 TSA map);
-  - the TSA ACQUIRED_BEFORE edges plus the DESIGN.md §4g lock-order DAG
-    must be mutually consistent (their union acyclic);
-  - compile commands are scanned for -ffast-math / -funsafe-math
-    (non-reproducible FP at the flag level).
-
-Division of labour with the lint (dedupe contract): allocation sites on
-lines inside `// scrpqo-lint: hot-path begin/end` fences are REPORTED BY
-THE LINT ONLY — this tool records them under `delegated_to_lint` in the
-JSON and keeps traversing through them, so each allocation finding is
-owned by exactly one tool while transitive coverage stays complete.
-
-Engines: the gating engine is pure-lexical (stdlib only) so the check
-runs in any build environment. When the libclang Python bindings are
-importable, `--engine clang` cross-checks the lexical call graph against
-the AST (missing-edge detection); the lexical engine is the one CI
-gates on, mirroring the lint's arrangement.
+Self-test: the fixtures under testdata/ mark each seeded violation with
+`// effects-expect(<rule>)`; a fixture path under testdata/src/<dir>/ is
+checked as if it sat in src/<dir>/. `--self-test` requires exactly the
+expected findings, one seeded violation and one silent sanctioned allow
+per rule, and a configuration error for a missing compilation database.
 
 Usage:
   scrpqo_effects.py --root <repo> [-p build/compile_commands.json]
-                    [--json out.json] [--engine lexical|clang|auto]
+                    [--json out.json]
   scrpqo_effects.py --self-test
-Exit status: 0 = contracts proven, 1 = findings, 2 = usage/config error.
+Exit status: 0 = clean, 1 = findings, 2 = usage/config error.
 """
 
 from __future__ import annotations
@@ -66,18 +78,8 @@ import sys
 from collections import deque
 from dataclasses import dataclass, field
 
-_HERE = os.path.dirname(os.path.abspath(__file__))
-sys.path.insert(0, os.path.join(_HERE, "..", "lint"))
-try:
-    from scrpqo_lint import (  # noqa: E402
-        ALLOC_HOTPATH_SCOPE,
-        HOT_BEGIN_RE,
-        HOT_END_RE,
-        _strip_comments_and_strings,
-    )
-except ImportError as exc:  # pragma: no cover - repo layout is fixed
-    sys.stderr.write(f"error: cannot import tools/lint/scrpqo_lint.py: {exc}\n")
-    sys.exit(2)
+FIXTURES = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                        "testdata")
 
 RULES = ("alloc", "lock", "block", "throw", "fp")
 
@@ -89,7 +91,6 @@ CONTRACT_FOR_RULE = {
     "lock": "SCRPQO_LOCK_BOUNDED",
 }
 
-ALLOW_RE = re.compile(r"\bSCRPQO_EFFECT_ALLOW\s*\(\s*([a-z]+)\s*,")
 EXPECT_RE = re.compile(r"//\s*effects-expect\(([a-z-]+)\)")
 
 # ---------------------------------------------------------------------------
@@ -263,14 +264,90 @@ class Finding:
 class SourceFile:
     rel: str
     raw_lines: list[str]
-    code_lines: list[str]
-    hot_fences: list[tuple[int, int]]  # inclusive 1-based line ranges
+    code_lines: list[str]  # comments and string literals blanked
     expects: dict[int, set[str]]
+
+
+class ConfigError(Exception):
+    """A usage or configuration problem: exit status 2, never a pass."""
 
 
 # ---------------------------------------------------------------------------
 # File loading & collection.
 # ---------------------------------------------------------------------------
+
+
+def _strip_comments_and_strings(text: str) -> str:
+    """Blanks comments and string/char literals, preserving line structure.
+
+    Keeps column positions stable by replacing stripped characters with
+    spaces, so findings can still report accurate lines.
+    """
+    out = []
+    i, n = 0, len(text)
+    state = "code"  # code | line_comment | block_comment | string | char
+    while i < n:
+        c = text[i]
+        nxt = text[i + 1] if i + 1 < n else ""
+        if state == "code":
+            if c == "/" and nxt in ("/", "*"):
+                state = "line_comment" if nxt == "/" else "block_comment"
+                out.append("  ")
+                i += 2
+                continue
+            if c == '"':
+                # Raw strings R"delim(...)delim" need their own scan: they
+                # may contain quotes and backslashes.
+                if out and out[-1] == "R":
+                    m = re.match(r'"([^\s()\\]{0,16})\(', text[i:])
+                    if m:
+                        closer = ")" + m.group(1) + '"'
+                        end = text.find(closer, i + m.end())
+                        end = n if end < 0 else end + len(closer)
+                        out.append("".join(
+                            ch if ch == "\n" else " " for ch in text[i:end]))
+                        i = end
+                        continue
+                state = "string"
+                out.append(" ")
+                i += 1
+                continue
+            if c == "'":
+                state = "char"
+                out.append(" ")
+                i += 1
+                continue
+            out.append(c)
+            i += 1
+            continue
+        if state == "line_comment":
+            if c == "\n":
+                state = "code"
+            out.append("\n" if c == "\n" else " ")
+            i += 1
+            continue
+        if state == "block_comment":
+            if c == "*" and nxt == "/":
+                state = "code"
+                out.append("  ")
+                i += 2
+                continue
+            out.append("\n" if c == "\n" else " ")
+            i += 1
+            continue
+        # string / char
+        if c == "\\":
+            out.append("  ")
+            i += 2
+            continue
+        if (state == "string" and c == '"') or (state == "char" and c == "'"):
+            state = "code"
+            out.append(" ")
+            i += 1
+            continue
+        out.append("\n" if c == "\n" else " ")
+        i += 1
+    return "".join(out)
 
 
 def load_file(path: str, root: str) -> SourceFile:
@@ -280,72 +357,58 @@ def load_file(path: str, root: str) -> SourceFile:
     code_lines = _strip_comments_and_strings(text).splitlines()
     while len(code_lines) < len(raw_lines):
         code_lines.append("")
-    fences: list[tuple[int, int]] = []
-    start = None
-    for idx, raw in enumerate(raw_lines, start=1):
-        if HOT_BEGIN_RE.search(raw):
-            start = idx
-        elif HOT_END_RE.search(raw) and start is not None:
-            fences.append((start, idx))
-            start = None
-    if start is not None:
-        fences.append((start, len(raw_lines)))
     expects: dict[int, set[str]] = {}
     for idx, raw in enumerate(raw_lines, start=1):
         for m in EXPECT_RE.finditer(raw):
+            # On its own line the marker covers the next line.
             target = idx + 1 if raw.split("//", 1)[0].strip() == "" else idx
             expects.setdefault(target, set()).add(m.group(1))
     return SourceFile(os.path.relpath(path, root), raw_lines, code_lines,
-                      fences, expects)
+                      expects)
 
 
-def collect_files(root: str, compile_db: str | None,
-                  subdir: str = "src") -> list[str]:
-    """File set = compile_commands TUs under root/subdir plus every header
-    under root/subdir (headers are not TUs). Falls back to a plain walk
-    when no database is available."""
+def load_compile_db(path: str) -> list[dict]:
+    if not os.path.exists(path):
+        raise ConfigError(f"compilation database not found: {path}")
+    with open(path, encoding="utf-8") as f:
+        try:
+            return json.load(f)
+        except json.JSONDecodeError as exc:
+            raise ConfigError(
+                f"bad compilation database {path}: {exc}") from exc
+
+
+def collect_files(root: str, entries: list[dict] | None) -> list[str]:
+    """The compilation database's TUs under root/src plus every header
+    under root/src (headers are not TUs, and most of the locking surface
+    is in headers). A source the build stops compiling stops being
+    checked without a glob edit here. Without a database every .cc under
+    src/ is a TU."""
+    src_root = os.path.realpath(os.path.join(root, "src"))
     files: set[str] = set()
-    base = os.path.join(root, subdir)
-    if compile_db and os.path.exists(compile_db):
-        with open(compile_db, encoding="utf-8") as f:
-            try:
-                entries = json.load(f)
-            except json.JSONDecodeError as exc:
-                sys.stderr.write(f"error: bad compile db {compile_db}: {exc}\n")
-                sys.exit(2)
-        for entry in entries:
-            p = entry.get("file", "")
-            if not os.path.isabs(p):
-                p = os.path.normpath(os.path.join(entry.get("directory", ""), p))
-            p = os.path.realpath(p)
-            if p.startswith(os.path.realpath(base) + os.sep):
-                files.add(p)
-    for dirpath, _, names in os.walk(base):
+    for entry in entries or []:
+        path = entry.get("file", "")
+        if not os.path.isabs(path):
+            path = os.path.join(entry.get("directory", ""), path)
+        path = os.path.realpath(path)
+        if path.startswith(src_root + os.sep):
+            files.add(path)
+    if entries is not None and not files:
+        raise ConfigError(f"the compilation database has no TUs under "
+                          f"{src_root}")
+    for dirpath, _, names in os.walk(src_root):
         for name in names:
-            if name.endswith(".h"):
+            if name.endswith(".h") or (entries is None and
+                                       name.endswith(".cc")):
                 files.add(os.path.realpath(os.path.join(dirpath, name)))
-            elif name.endswith(".cc") and not (compile_db and files):
-                files.add(os.path.realpath(os.path.join(dirpath, name)))
-    # A db that exists but matched nothing under src/ would silently
-    # analyze headers only; treat as a config error.
-    if compile_db and os.path.exists(compile_db):
-        if not any(p.endswith(".cc") for p in files):
-            sys.stderr.write(
-                f"error: {compile_db} contains no TUs under {base}\n")
-            sys.exit(2)
+    if not files:
+        raise ConfigError(f"no sources found under {src_root}")
     return sorted(files)
 
 
-def scan_fast_math(compile_db: str | None) -> list[str]:
-    if not compile_db or not os.path.exists(compile_db):
-        return []
-    with open(compile_db, encoding="utf-8") as f:
-        try:
-            entries = json.load(f)
-        except json.JSONDecodeError:
-            return []
+def scan_fast_math(entries: list[dict] | None) -> list[str]:
     bad = []
-    for entry in entries:
+    for entry in entries or []:
         cmd = entry.get("command") or " ".join(entry.get("arguments", []))
         if "-ffast-math" in cmd or "-funsafe-math-optimizations" in cmd:
             bad.append(entry.get("file", "?"))
@@ -353,7 +416,177 @@ def scan_fast_math(compile_db: str | None) -> list[str]:
 
 
 # ---------------------------------------------------------------------------
-# Tokenizing + function extraction (the lexical call-graph engine).
+# Lexical rules. Each yields (1-based line, message) for one file.
+# ---------------------------------------------------------------------------
+
+ATOMIC_CALL_RE = re.compile(
+    r"[\w\)\]>]\s*(?:\.|->)\s*"
+    r"(load|store|exchange|fetch_add|fetch_sub|fetch_and|fetch_or|"
+    r"fetch_xor|compare_exchange_weak|compare_exchange_strong)\s*\("
+)
+MEMORY_ORDER_RE = re.compile(r"std::memory_order|memory_order_")
+
+
+def _span_call(lines: list[str], start_idx: int, open_pos: int) -> str:
+    """The argument text of a call whose '(' is at (start_idx, open_pos)
+    in `lines` (0-based), scanning at most 12 lines."""
+    depth = 0
+    collected = []
+    for idx in range(start_idx, min(start_idx + 12, len(lines))):
+        line = lines[idx]
+        pos = open_pos if idx == start_idx else 0
+        for j in range(pos, len(line)):
+            if line[j] == "(":
+                depth += 1
+            elif line[j] == ")":
+                depth -= 1
+                if depth == 0:
+                    collected.append(line[pos:j + 1])
+                    return "".join(collected)
+        collected.append(line[pos:])
+    return "".join(collected)
+
+
+def check_atomic_order(src: SourceFile):
+    for idx, line in enumerate(src.code_lines):
+        for m in ATOMIC_CALL_RE.finditer(line):
+            # RelaxedCounter spells its mutators Store/Add/value, so any
+            # .store/.load match here is a raw std::atomic (or an atomic
+            # wrapper faking the std interface, equally suspect).
+            if MEMORY_ORDER_RE.search(
+                    _span_call(src.code_lines, idx, m.end() - 1)):
+                continue
+            yield idx + 1, (
+                f"atomic {m.group(1)}() without an explicit "
+                "std::memory_order (default seq_cst fences the hot path; "
+                "say the order or use RelaxedCounter)")
+
+
+# Scope-guard declarations: `MutexLock l(mu);` and friends.
+GUARD_DECL_RE = re.compile(
+    r"\b(MutexLock|ReaderMutexLock|WriterMutexLock|ShardLock)\s+\w+\s*\(")
+MANUAL_LOCK_RE = re.compile(
+    r"\b([\w.\->]+?)\s*(?:\.|->)\s*Lock(?:Shared)?\s*\(\s*\)")
+MANUAL_UNLOCK_RE = re.compile(
+    r"\b([\w.\->]+?)\s*(?:\.|->)\s*Unlock(?:Shared)?\s*\(\s*\)")
+BLOCKING_CALL_RE = re.compile(
+    r"(?:"
+    r"\b\w+\s*(?:\.|->)\s*(Optimize|Consume|Flush|ObserveDrop|join)\s*\(|"
+    r"\bstd::this_thread::(sleep_for|sleep_until)\b|"
+    r"\bstd::(getline|fopen|ifstream|ofstream|fstream)\b|"
+    r"\b(printf|fprintf|fwrite|fread|fputs)\s*\("
+    r")"
+)
+NAMESPACE_LINE_RE = re.compile(r"\s*(?:inline\s+)?namespace\b")
+
+
+def check_blocking_under_lock(src: SourceFile):
+    # Track lock scopes with a brace stack. Each entry records whether the
+    # brace opened a namespace scope: when only namespace braces remain
+    # open we are between functions, which resets the manual Lock()/
+    # Unlock() pairing (a ctor that hands its lock to the dtor, like
+    # ShardLock, must not poison the rest of the file). A guard declared
+    # at stack depth d is active until a `}` takes the stack below d — a
+    # nested sub-scope closing back TO d keeps the lock held.
+    brace_stack: list[bool] = []  # True = namespace brace
+    guard_depths: list[int] = []
+    manual_locks: list[str] = []
+    for idx, line in enumerate(src.code_lines):
+        line_had_guard = bool(GUARD_DECL_RE.search(line))
+        if line_had_guard:
+            guard_depths.append(len(brace_stack))
+        for m in MANUAL_LOCK_RE.finditer(line):
+            manual_locks.append(m.group(1))
+        for m in MANUAL_UNLOCK_RE.finditer(line):
+            if m.group(1) in manual_locks:
+                manual_locks.remove(m.group(1))
+        if (guard_depths or manual_locks) and not line_had_guard:
+            bm = BLOCKING_CALL_RE.search(line)
+            if bm:
+                what = next(g for g in bm.groups() if g)
+                yield idx + 1, (
+                    f"blocking call `{what}` while a lock scope is active "
+                    "(move the call outside the critical section)")
+        # Apply brace deltas after the check so a guard's own line counts
+        # as inside its scope only from the next line on. Only the first
+        # `{` of a `namespace ... {` line is the namespace brace.
+        ns_brace_pending = bool(NAMESPACE_LINE_RE.match(line))
+        for ch in line:
+            if ch == "{":
+                brace_stack.append(ns_brace_pending)
+                ns_brace_pending = False
+            elif ch == "}":
+                if brace_stack:
+                    brace_stack.pop()
+                while guard_depths and len(brace_stack) < guard_depths[-1]:
+                    guard_depths.pop()
+        if all(brace_stack):  # only namespace scopes (or nothing) open
+            manual_locks.clear()
+            guard_depths.clear()
+
+
+RECORD_CALL_RE = re.compile(
+    r"([\w.\->]*tracer[\w.\->]*)\s*(?:\.|->)\s*Record\s*\(", re.IGNORECASE)
+
+
+def check_tracer_record(src: SourceFile):
+    for idx, line in enumerate(src.code_lines):
+        m = RECORD_CALL_RE.search(line)
+        if m:
+            yield idx + 1, (
+                f"direct RingTracer::Record via `{m.group(1)}` outside "
+                "src/obs/ — route through EmitDecisionEvent (obs/emit.h)")
+
+
+STATUS_DEF_RE = re.compile(r"\b(class|struct)\s+(Status|Result)\b[^;]*$")
+STATUS_FWD_RE = re.compile(
+    r"\b(class|struct)\s+(Status|Result)\s*(<[^>]*>)?\s*;")
+
+
+def check_nodiscard_status(src: SourceFile):
+    for idx, line in enumerate(src.code_lines):
+        m = STATUS_DEF_RE.search(line)
+        # A forward declaration (`class Status;`) is not a definition.
+        if not m or STATUS_FWD_RE.search(line):
+            continue
+        if "[[nodiscard]]" not in src.raw_lines[idx]:
+            yield idx + 1, (
+                f"{m.group(1)} {m.group(2)} defined without [[nodiscard]] — "
+                "a dropped error object is a swallowed failure")
+
+
+RAW_MUTEX_RE = re.compile(
+    r"\bstd::(mutex|shared_mutex|recursive_mutex|timed_mutex|"
+    r"condition_variable(?:_any)?|lock_guard|unique_lock|scoped_lock|"
+    r"shared_lock)\b"
+)
+
+
+def check_raw_mutex(src: SourceFile):
+    for idx, line in enumerate(src.code_lines):
+        m = RAW_MUTEX_RE.search(line)
+        if m:
+            yield idx + 1, (
+                f"raw std::{m.group(1)} — use the annotated primitives in "
+                "common/thread_annotations.h (raw sync objects are "
+                "invisible to the thread-safety analysis)")
+
+
+# rule -> (path prefixes it checks, prefixes exempt from it, check)
+LEXICAL_RULES = {
+    "atomic-order": (("src/pqo/", "src/obs/"), (), check_atomic_order),
+    "blocking-under-lock": (("src/pqo/",), (), check_blocking_under_lock),
+    "tracer-record-outside-obs": (("src/",), ("src/obs/",),
+                                  check_tracer_record),
+    "nodiscard-status": (("src/common/",), (), check_nodiscard_status),
+    "raw-mutex": (("src/",), ("src/common/thread_annotations.h",),
+                  check_raw_mutex),
+}
+ALL_RULES = RULES + tuple(LEXICAL_RULES)
+
+
+# ---------------------------------------------------------------------------
+# Tokenizing + function extraction (the call-graph engine).
 # ---------------------------------------------------------------------------
 
 
@@ -585,11 +818,8 @@ def _classify_function(toks: list[Token], stmt: int,
                 # CONTROL check; a genuine definition has type tokens or
                 # qualifiers before the name (ctors have the class name).
                 return name, tuple(quals), m
-            if w == ">":
-                # operator> etc or templated call; look for 'operator'.
-                return None
-            if w == "operator" or (m >= 2 and toks[m - 2].txt == "operator"):
-                return None  # operators carry no contracts here
+            # operator> etc., a templated call, or any other operator:
+            # operators carry no contracts here.
             return None
         # Anything else before '{' that isn't a qualifier: not a function.
         return None
@@ -601,12 +831,6 @@ def _stmt_has(toks: list[Token], stmt: int, brace: int, kws: set[str]) -> str | 
         if toks[j].txt in kws:
             return toks[j].txt
     return None
-
-
-@dataclass
-class ClassScope:
-    name: str
-    members: dict[str, str] = field(default_factory=dict)
 
 
 MEMBER_DECL_RE = re.compile(
@@ -701,15 +925,17 @@ class Model:
         self.funcs: list[Func] = []
         self.files: dict[str, SourceFile] = {}
         self.members: dict[str, dict[str, str]] = {}  # class -> name -> type
+        # member name -> every type any class declares it with
+        self.member_types: dict[str, set[str]] = {}
         self.mutex_members: set[str] = set()  # declared capability names
         self.order_edges: set[tuple[str, str]] = set()  # ACQUIRED_BEFORE
+        self.design_edges: set[tuple[str, str]] = set()  # DESIGN.md §4g
         self.allows: list[AllowMarker] = []
         self.by_qname: dict[str, int] = {}
         self.by_method: dict[tuple[str, str], int] = {}
         self.by_name: dict[str, list[int]] = {}
         self.unresolved_calls: int = 0
         self.resolved_calls: int = 0
-        self.delegated: list[dict] = []
         self.warnings: list[str] = []
 
 
@@ -719,11 +945,12 @@ MUTEX_DECL_RE = re.compile(
     r"\b(?:mutable\s+)?(?:Mutex|SharedMutex)\s+(\w+)\s*[;A-Z]")
 
 
-def extract_file(model: Model, src: SourceFile) -> None:
-    toks = tokenize(src.code_lines)
+def scan_file(model: Model, src: SourceFile,
+              toks: list[Token]) -> list[tuple[int, int, Func]]:
+    """Pass 1 over one file: the capability registry, ACQUIRED_BEFORE
+    edges, class member tables and function definitions. Returns the
+    token span of each function body for pass 2."""
     model.files[src.rel] = src
-
-    # Mutex capability registry + ACQUIRED_BEFORE edges (whole file).
     for line in src.code_lines:
         for m in MUTEX_DECL_RE.finditer(line):
             model.mutex_members.add(m.group(1))
@@ -735,126 +962,83 @@ def extract_file(model: Model, src: SourceFile) -> None:
                 else:
                     model.order_edges.add((target, name))
 
-    # Scope walk: classes (member tables) + function definitions.
-    scope: list[tuple[str, object]] = []  # (kind, payload)
-    i = 0
-    n = len(toks)
-    func_spans: list[tuple[int, int, Func]] = []  # token spans for pass 2
-    while i < n:
-        t = toks[i].txt
-        if t == "{":
+    scope: list[tuple[str, str, int]] = []  # (kind, name, open line)
+    class_ranges: list[tuple[str, int, int]] = []
+    func_ranges: list[tuple[int, int]] = []
+    func_spans: list[tuple[int, int, Func]] = []
+    for i, tok in enumerate(toks):
+        if tok.txt == "{":
             stmt = _stmt_start(toks, i)
             kw = _stmt_has(toks, stmt, i, {"namespace", "class", "struct",
                                            "union", "enum"})
-            fn = _classify_function(toks, stmt, i)
-            if fn is not None and kw is None:
+            fn = _classify_function(toks, stmt, i) if kw is None else None
+            nm = ""
+            if fn is not None:
+                kind = "function"
                 name, quals, _ = fn
-                class_path = [p for k, p in
-                              ((kk, pp.name if isinstance(pp, ClassScope)
-                                else pp) for kk, pp in scope)
+                class_path = [p for k, p, _ in scope
                               if k in ("namespace", "class") and p]
-                qname = "::".join([*class_path, *quals, name])
                 cls = quals[-1] if quals else next(
-                    (s[1].name for s in reversed(scope) if s[0] == "class"),
-                    None)
+                    (p for k, p, _ in reversed(scope) if k == "class"), None)
                 sig_line = toks[stmt].line
-                raw_sig = "\n".join(
-                    src.raw_lines[sig_line - 1:toks[i].line])
-                f = Func(
-                    fid=len(model.funcs), qname=qname, name=name, cls=cls,
-                    rel=src.rel, sig_line=sig_line, body_open=toks[i].line,
-                    body_close=0, sig_text=raw_sig)
                 close = _match_fwd(toks, i)
-                f.body_close = toks[close].line
+                f = Func(
+                    fid=len(model.funcs),
+                    qname="::".join([*class_path, *quals, name]), name=name,
+                    cls=cls, rel=src.rel, sig_line=sig_line,
+                    body_open=tok.line, body_close=toks[close].line,
+                    sig_text="\n".join(
+                        src.raw_lines[sig_line - 1:tok.line]))
                 model.funcs.append(f)
                 func_spans.append((i + 1, close, f))
-                scope.append(("function", f))
             elif kw == "namespace":
-                nm = ""
+                kind = "namespace"
                 for j in range(stmt, i):
                     if toks[j].txt == "namespace" and j + 1 < i and \
                             re.match(r"[A-Za-z_]\w*$", toks[j + 1].txt):
                         nm = toks[j + 1].txt
-                scope.append(("namespace", nm))
             elif kw in ("class", "struct", "union"):
-                nm = ""
+                kind = "class"
                 for j in range(stmt, i):
                     if toks[j].txt == kw:
                         jj = j + 1
                         while jj < i and (ALLCAPS_RE.match(toks[jj].txt) or
-                                          toks[jj].txt in ("final",)):
+                                          toks[jj].txt == "final"):
                             jj += 1
                         if jj < i and re.match(r"[A-Za-z_]\w*$", toks[jj].txt):
                             nm = toks[jj].txt
                         break
-                scope.append(("class", ClassScope(nm)))
             else:
-                scope.append(("block", None))
-        elif t == "}":
-            if scope:
-                kind, payload = scope.pop()
-                if kind == "class" and isinstance(payload, ClassScope) \
-                        and payload.name:
-                    model.members.setdefault(payload.name, {}).update(
-                        payload.members)
-        i += 1
+                kind = "block"
+            scope.append((kind, nm, tok.line))
+        elif tok.txt == "}" and scope:
+            kind, nm, open_line = scope.pop()
+            if kind == "class" and nm:
+                class_ranges.append((nm, open_line, tok.line))
+            elif kind == "function":
+                func_ranges.append((open_line, tok.line))
 
-    # Member tables: per class scope, parse decl lines lying directly in
-    # the class body (not inside nested function bodies).
-    _fill_member_tables(model, src, toks)
+    # Member declarations: class-body lines outside function bodies.
+    for nm, lo, hi in class_ranges:
+        lines = [src.code_lines[ln - 1] for ln in range(lo, hi + 1)
+                 if ln - 1 < len(src.code_lines) and
+                 not any(flo < ln < fhi for flo, fhi in func_ranges)]
+        table = parse_decl_types(lines)
+        model.members.setdefault(nm, {}).update(table)
+        for name, ty in table.items():
+            model.member_types.setdefault(name, set()).add(ty)
+    return func_spans
 
-    # Contracts + allows per function, then body effects/calls.
+
+def extract_bodies(model: Model, src: SourceFile, toks: list[Token],
+                   func_spans: list[tuple[int, int, Func]]) -> None:
+    """Pass 2 over one file, once every file's member tables exist:
+    contracts and allows per function, then body effects and calls."""
     for span_start, span_end, f in func_spans:
         _parse_contracts(model, src, f)
         _extract_body(model, src, toks, span_start, span_end, f)
-
-    # File-scope allows not attached to any function signature: line scope.
+    # Allows not attached to any function signature: line scope.
     _collect_line_allows(model, src)
-
-
-def _fill_member_tables(model: Model, src: SourceFile, toks: list[Token]) -> None:
-    # Re-walk scopes cheaply: record line ranges of class bodies and of
-    # function bodies; member decls = class-body lines minus function-body
-    # lines.
-    class_ranges: list[tuple[str, int, int]] = []
-    func_ranges: list[tuple[int, int]] = []
-    scope: list[tuple[str, str, int]] = []
-    i = 0
-    while i < len(toks):
-        t = toks[i].txt
-        if t == "{":
-            stmt = _stmt_start(toks, i)
-            kw = _stmt_has(toks, stmt, i, {"namespace", "class", "struct",
-                                           "union", "enum"})
-            fn = _classify_function(toks, stmt, i)
-            if fn is not None and kw is None:
-                scope.append(("function", "", toks[i].line))
-            elif kw in ("class", "struct", "union"):
-                nm = ""
-                for j in range(stmt, i):
-                    if toks[j].txt == kw and j + 1 < i and \
-                            re.match(r"[A-Za-z_]\w*$", toks[j + 1].txt):
-                        nm = toks[j + 1].txt
-                        break
-                scope.append(("class", nm, toks[i].line))
-            else:
-                scope.append(("block", "", toks[i].line))
-        elif t == "}":
-            if scope:
-                kind, nm, open_line = scope.pop()
-                if kind == "class" and nm:
-                    class_ranges.append((nm, open_line, toks[i].line))
-                elif kind == "function":
-                    func_ranges.append((open_line, toks[i].line))
-        i += 1
-    for nm, lo, hi in class_ranges:
-        lines = []
-        for ln in range(lo, hi + 1):
-            if any(flo < ln < fhi for flo, fhi in func_ranges):
-                continue
-            lines.append(src.code_lines[ln - 1] if ln - 1 < len(src.code_lines)
-                         else "")
-        model.members.setdefault(nm, {}).update(parse_decl_types(lines))
 
 
 CONTRACT_TOKENS = {
@@ -866,7 +1050,7 @@ CONTRACT_TOKENS = {
 }
 LOCK_BOUNDED_RE = re.compile(r"\bSCRPQO_LOCK_BOUNDED\(([^)]*)\)")
 ALLOW_FULL_RE = re.compile(
-    r"\bSCRPQO_EFFECT_ALLOW\s*\(\s*([a-z]+)\s*,\s*(\"(?:[^\"\\]|\\.)*\")?")
+    r"\bSCRPQO_EFFECT_ALLOW\s*\(\s*([a-z-]+)\s*,\s*(\"(?:[^\"\\]|\\.)*\")?")
 
 
 def _parse_contracts(model: Model, src: SourceFile, f: Func) -> None:
@@ -932,7 +1116,6 @@ def _extract_body(model: Model, src: SourceFile, toks: list[Token],
     locals_: dict[str, str] = parse_param_types(f.sig_text)
     body_lines = src.code_lines[f.body_open - 1:f.body_close]
     locals_.update(parse_decl_types([ln.strip() for ln in body_lines]))
-    f._local_types = locals_  # type: ignore[attr-defined]
 
     # Intrinsics: line regex (token stream splits _mm256_mul_pd cleanly as
     # one identifier, but the regex is simpler on lines).
@@ -1035,12 +1218,11 @@ def _recv_type(model: Model, f: Func, locals_: dict[str, str],
         ty = model.members.get(f.cls, {}).get(recv)
         if ty:
             return ty
-    # Fall back: search every class the function's file declared (covers
-    # out-of-line definitions whose class table lives in the header).
-    for members in model.members.values():
-        if recv in members:
-            return members[recv]
-    return None
+    # Fall back to the other classes' tables (covers members the function's
+    # own table lacks), but only when every class that declares the name
+    # agrees on its type: a guess would pin the call to the wrong method.
+    types = model.member_types.get(recv, set())
+    return next(iter(types)) if len(types) == 1 else None
 
 
 def _record_call(model: Model, f: Func, line: int, name: str,
@@ -1048,7 +1230,7 @@ def _record_call(model: Model, f: Func, line: int, name: str,
                  recv_unknown: bool, locals_: dict[str, str]) -> None:
     # std-qualified calls -> std model.
     if quals and quals[0] == "std":
-        _std_effect(model, f, line, name, f.rel)
+        _std_effect(f, line, name)
         return
     if ALLCAPS_RE.match(name):
         return  # macro invocation, not a call edge
@@ -1103,10 +1285,10 @@ def _record_call(model: Model, f: Func, line: int, name: str,
     # Unqualified free-function calls may also be std effects pulled in via
     # ADL/using — cover the bare C names (printf, fopen, rand, fesetround).
     if recv is None and not quals:
-        _std_effect(model, f, line, name, f.rel, bare_only=True)
+        _std_effect(f, line, name, bare_only=True)
 
 
-def _std_effect(model: Model, f: Func, line: int, name: str, rel: str,
+def _std_effect(f: Func, line: int, name: str,
                 bare_only: bool = False) -> None:
     if name in STD_ALLOC_FUNCS:
         f.effects.append(Effect("alloc", line, f"std::{name} allocates"))
@@ -1118,7 +1300,7 @@ def _std_effect(model: Model, f: Func, line: int, name: str, rel: str,
         f.effects.append(Effect("fp", line, f"fenv access `{name}`"))
     if name in FP_RAND_FUNCS:
         f.effects.append(Effect("fp", line, f"randomness `{name}`"))
-    if name in FP_LIBM_TRANSCENDENTALS and rel not in FP_LIBM_SANCTIONED:
+    if name in FP_LIBM_TRANSCENDENTALS and f.rel not in FP_LIBM_SANCTIONED:
         f.effects.append(Effect(
             "fp", line,
             f"raw libm transcendental `{name}` outside "
@@ -1178,16 +1360,26 @@ def resolve_calls(model: Model) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Contract verification (BFS with witnesses).
+# Verification: lexical rules, contracts (BFS with witnesses), hygiene.
 # ---------------------------------------------------------------------------
 
 
-def _line_allowed(model: Model, rel: str, line: int, rule: str) -> bool:
+def _line_allowed(model: Model, rel: str, line: int, rule: str,
+                  whole_function: bool = False) -> bool:
+    """Whether a justified marker for `rule` covers rel:line: a line-scope
+    marker through its target lines and, with `whole_function`, a
+    signature marker through its function's lines."""
     for marker in model.allows:
-        if marker.scope != "line" or marker.rel != rel:
+        if marker.rel != rel or marker.rule != rule or \
+                not marker.justification:
             continue
-        if marker.rule == rule and marker.justification and \
-                line in marker.target_lines:
+        if marker.scope == "line":
+            covered = line in marker.target_lines
+        else:
+            owner = model.funcs[marker.owner]
+            covered = whole_function and \
+                owner.sig_line <= line <= owner.body_close
+        if covered:
             marker.used = True
             return True
     return False
@@ -1202,20 +1394,17 @@ def _fn_allowed(model: Model, f: Func, rule: str) -> bool:
     return False
 
 
-def _in_fence(src: SourceFile | None, line: int) -> bool:
-    if src is None:
-        return False
-    return any(lo <= line <= hi for lo, hi in src.hot_fences)
-
-
-# Imported from the lint so the ownership boundary cannot drift: the lint
-# owns direct allocations on fenced lines under these prefixes, the
-# analyzer owns everything else (including transitive reachability).
-LINT_ALLOC_SCOPE = ALLOC_HOTPATH_SCOPE
-
-
-def verify_contracts(model: Model) -> list[Finding]:
+def verify(model: Model) -> list[Finding]:
     findings: list[Finding] = []
+
+    for src in model.files.values():
+        for rule, (scope, exempt, check) in LEXICAL_RULES.items():
+            if not src.rel.startswith(scope) or src.rel.startswith(exempt):
+                continue
+            for line, msg in check(src):
+                if not _line_allowed(model, src.rel, line, rule,
+                                     whole_function=True):
+                    findings.append(Finding(rule, src.rel, line, msg))
 
     for root in model.funcs:
         for rule in RULES:
@@ -1248,7 +1437,6 @@ def _check_rule(model: Model, root: Func, rule: str) -> list[Finding]:
     while q:
         fid = q.popleft()
         f = model.funcs[fid]
-        src = model.files.get(f.rel)
 
         for eff in f.effects:
             if eff.rule != rule:
@@ -1256,13 +1444,6 @@ def _check_rule(model: Model, root: Func, rule: str) -> list[Finding]:
             if rule == "lock" and eff.cap in allowed_caps:
                 continue
             if _line_allowed(model, f.rel, eff.line, rule):
-                continue
-            if rule == "alloc" and _in_fence(src, eff.line) and \
-                    f.rel.startswith(LINT_ALLOC_SCOPE):
-                model.delegated.append({
-                    "rule": rule, "file": f.rel, "line": eff.line,
-                    "detail": eff.detail, "root": root.qname,
-                    "owner": "scrpqo_lint.alloc-in-hotpath"})
                 continue
             key = (f.rel, eff.line)
             if key in reported:
@@ -1312,11 +1493,11 @@ def _witness(model: Model, parent: dict[int, tuple[int, int]],
 def _check_allow_hygiene(model: Model) -> list[Finding]:
     findings = []
     for marker in model.allows:
-        if marker.rule not in RULES:
+        if marker.rule not in ALL_RULES:
             findings.append(Finding(
                 "allow", marker.rel, marker.line,
                 f"SCRPQO_EFFECT_ALLOW names unknown rule "
-                f"`{marker.rule}` (expected one of {', '.join(RULES)})"))
+                f"`{marker.rule}` (expected one of {', '.join(ALL_RULES)})"))
         elif not marker.justification:
             findings.append(Finding(
                 "allow", marker.rel, marker.line,
@@ -1360,9 +1541,8 @@ def parse_design_dag(root: str) -> set[tuple[str, str]]:
 
 
 def _check_lock_order(model: Model) -> list[Finding]:
-    edges = set(model.order_edges) | model.design_edges  # type: ignore
     graph: dict[str, set[str]] = {}
-    for a, b in edges:
+    for a, b in model.order_edges | model.design_edges:
         graph.setdefault(a, set()).add(b)
     state: dict[str, int] = {}
     cycle: list[str] = []
@@ -1390,51 +1570,36 @@ def _check_lock_order(model: Model) -> list[Finding]:
 
 
 # ---------------------------------------------------------------------------
-# Optional libclang refinement (never the gate; mirrors the lint).
-# ---------------------------------------------------------------------------
-
-
-def try_clang_engine(compile_db: str | None) -> str | None:
-    try:
-        import clang.cindex  # noqa: F401
-    except ImportError:
-        return None
-    return "available"
-
-
-# ---------------------------------------------------------------------------
 # Driver: tree analysis, JSON, self-test.
 # ---------------------------------------------------------------------------
 
 
 def build_model(root: str, files: list[str]) -> Model:
     model = Model()
+    scanned = []
     for path in files:
-        extract_file(model, load_file(path, root))
+        src = load_file(path, root)
+        toks = tokenize(src.code_lines)
+        scanned.append((src, toks, scan_file(model, src, toks)))
+    for src, toks, spans in scanned:
+        extract_bodies(model, src, toks, spans)
     resolve_calls(model)
-    model.design_edges = parse_design_dag(root)  # type: ignore[attr-defined]
+    model.design_edges = parse_design_dag(root)
     return model
 
 
 def analyze_tree(root: str, compile_db: str | None,
-                 json_out: str | None, engine: str) -> int:
-    files = collect_files(root, compile_db)
-    if not files:
-        sys.stderr.write(f"error: no sources found under {root}/src\n")
-        return 2
+                 json_out: str | None) -> int:
+    entries = load_compile_db(compile_db) if compile_db else None
+    files = collect_files(root, entries)
     model = build_model(root, files)
-    findings = verify_contracts(model)
-    for tu in scan_fast_math(compile_db):
+    findings = verify(model)
+    for tu in scan_fast_math(entries):
         findings.append(Finding(
             "fp", os.path.relpath(tu, root) if os.path.isabs(tu) else tu, 1,
             "compiled with -ffast-math/-funsafe-math-optimizations: "
             "FP results are not reproducible across tiers"))
-
-    clang_state = try_clang_engine(compile_db) if engine in ("auto", "clang") \
-        else None
-    if engine == "clang" and clang_state is None:
-        sys.stderr.write("warning: libclang unavailable; lexical engine "
-                         "remains the gate\n")
+    findings.sort(key=lambda fnd: (fnd.rel, fnd.line, fnd.rule))
 
     hot_roots = [f.qname for f in model.funcs if f.hot]
     contracts = {
@@ -1445,8 +1610,7 @@ def analyze_tree(root: str, compile_db: str | None,
     }
     payload = {
         "tool": "scrpqo_effects",
-        "version": 1,
-        "engine": "lexical" + ("+clang" if clang_state else ""),
+        "version": 2,
         "root": os.path.abspath(root),
         "stats": {
             "files": len(files),
@@ -1461,7 +1625,6 @@ def analyze_tree(root: str, compile_db: str | None,
             "root_function": fnd.root, "function": fnd.function,
             "message": fnd.message, "witness": fnd.witness,
         } for fnd in findings],
-        "delegated_to_lint": model.delegated,
         "allows": [{
             "file": a.rel, "line": a.line, "rule": a.rule,
             "scope": a.scope, "justification": a.justification,
@@ -1483,7 +1646,7 @@ def analyze_tree(root: str, compile_db: str | None,
           f"{model.resolved_calls} call edges "
           f"({model.unresolved_calls} unresolved), "
           f"{len(hot_roots)} hot roots, {n_contracts} contracts, "
-          f"{len(model.delegated)} findings delegated to the lint, "
+          f"{len(model.allows)} allows, {len(ALL_RULES)} rules, "
           f"{len(findings)} findings")
     return 1 if findings else 0
 
@@ -1494,10 +1657,9 @@ def run_self_test(fixture_root: str) -> int:
         for dp, _, ns in os.walk(fixture_root)
         for n in ns if n.endswith((".cc", ".h")))
     if not files:
-        sys.stderr.write(f"error: no fixtures under {fixture_root}\n")
-        return 2
+        raise ConfigError(f"no fixtures under {fixture_root}")
     model = build_model(fixture_root, files)
-    findings = verify_contracts(model)
+    findings = verify(model)
 
     expected: set[tuple[str, int, str]] = set()
     for src in model.files.values():
@@ -1519,47 +1681,53 @@ def run_self_test(fixture_root: str) -> int:
         ok = False
 
     covered = {rule for _, _, rule in expected}
-    for rule in (*RULES, "allow"):
+    for rule in (*ALL_RULES, "allow"):
         if rule not in covered:
             print(f"SELF-TEST GAP: no fixture seeds a `{rule}` violation")
             ok = False
         sanctioned = [a for a in model.allows
                       if a.rule == rule and a.justification and a.used]
-        if rule in RULES and not sanctioned:
+        if rule in ALL_RULES and not sanctioned:
             print(f"SELF-TEST GAP: no fixture exercises a sanctioned "
                   f"SCRPQO_EFFECT_ALLOW({rule}) that stays silent")
             ok = False
 
-    # The dedupe contract: at least one fixture allocation inside a lint
-    # hot-path fence must be delegated, not reported.
-    if not model.delegated:
-        print("SELF-TEST GAP: no fixture exercises lint delegation "
-              "(alloc inside a hot-path fence)")
+    # A -p path that does not exist is a configuration error, not a
+    # header-only pass.
+    try:
+        load_compile_db(os.path.join(fixture_root, "no_such_build",
+                                     "compile_commands.json"))
+        print("SELF-TEST MISS: a missing compilation database was accepted")
         ok = False
+    except ConfigError:
+        pass
 
     print(f"self-test: {len(files)} fixtures, {len(model.funcs)} functions, "
           f"{len(findings)} findings, {len(expected)} expected, "
-          f"{len(model.delegated)} delegated"
-          + (" — OK" if ok else " — FAIL"))
+          f"{len(ALL_RULES)} rules" + (" — OK" if ok else " — FAIL"))
     return 0 if ok else 1
 
 
-def main() -> int:
+def main(argv: list[str]) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--root", default=".")
-    ap.add_argument("-p", "--compile-db", default=None,
-                    help="compile_commands.json (preferred file source)")
-    ap.add_argument("--json", default=None, help="findings JSON output path")
-    ap.add_argument("--engine", choices=("lexical", "clang", "auto"),
-                    default="auto")
-    ap.add_argument("--self-test", action="store_true")
-    ap.add_argument("--fixture-root",
-                    default=os.path.join(_HERE, "testdata"))
-    args = ap.parse_args()
-    if args.self_test:
-        return run_self_test(args.fixture_root)
-    return analyze_tree(args.root, args.compile_db, args.json, args.engine)
+    ap.add_argument("--root", default=".",
+                    help="repository root (default: cwd)")
+    ap.add_argument("-p", dest="compile_db", default=None,
+                    help="the build's compile_commands.json: its TUs under "
+                         "src/ are the file set")
+    ap.add_argument("--json", default=None,
+                    help="write findings, stats and allows here")
+    ap.add_argument("--self-test", action="store_true",
+                    help="reconcile the fixtures under testdata/")
+    args = ap.parse_args(argv)
+    try:
+        if args.self_test:
+            return run_self_test(FIXTURES)
+        return analyze_tree(args.root, args.compile_db, args.json)
+    except ConfigError as exc:
+        sys.stderr.write(f"error: {exc}\n")
+        return 2
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))

@@ -1,10 +1,11 @@
 // Fixture: SCRPQO_NOALLOC — one seeded transitive violation (the root
-// never allocates directly; its callee does), owning containers
+// never allocates directly; its callee does), direct allocations in a
+// root beside names that only contain "new", owning containers
 // constructed with contents next to forms that allocate nothing, and one
 // sanctioned function-scope SCRPQO_EFFECT_ALLOW(alloc) that must stay
 // silent.
 // Fixtures are parsed, never compiled, so the effect macros are spelled
-// bare (the analyzer greps for the tokens, mirroring tools/lint/testdata).
+// bare (the analyzer greps for the tokens).
 
 namespace fx {
 
@@ -30,6 +31,21 @@ void HotAlloc(Helper& h) {
 SCRPQO_NOALLOC
 void HotAllowed(Helper& h) {
   h.Bump();
+}
+
+struct Plan {
+  int id;
+};
+
+SCRPQO_NOALLOC
+int HotDirect(int n) {
+  int* raw = new int[8];  // effects-expect(alloc)
+  auto owned = std::make_unique<Plan>();  // effects-expect(alloc)
+  auto shared = std::make_shared<Plan>();  // effects-expect(alloc)
+  double new_cost = 1.0;
+  int renewed = n;
+  // A comment mentioning std::vector<int> v(4); or new Plan is not code.
+  return raw[0] + owned->id + shared->id + renewed + static_cast<int>(new_cost);
 }
 
 std::vector<int> MakeList();

@@ -1,16 +1,15 @@
-// lint-path: src/common/fixture_nodiscard_status.cc
 // Fixture for the nodiscard-status rule: error-carrying types in
 // src/common/ must be [[nodiscard]].
 
 namespace scrpqo_fixture {
 
-class Status {  // scrpqo-lint: expect(nodiscard-status)
+class Status {  // effects-expect(nodiscard-status)
  public:
   bool ok() const { return true; }
 };
 
 template <typename T>
-// scrpqo-lint: expect(nodiscard-status)
+// effects-expect(nodiscard-status)
 struct Result {
   T value;
 };
@@ -23,8 +22,7 @@ class [[nodiscard]] StatusGood {
 // Forward declarations are not definitions: clean.
 class StatusFwd;
 
-// A deliberate fire-and-forget status type; suppressed.
-// scrpqo-lint: allow(nodiscard-status)
+SCRPQO_EFFECT_ALLOW(nodiscard-status, "fixture: a deliberate fire-and-forget status type")
 struct Status final {
   int code = 0;
 };

@@ -1,4 +1,3 @@
-// lint-path: src/obs/fixture_raw_mutex.cc
 // Fixture for the raw-mutex rule: raw std synchronization primitives are
 // invisible to the thread-safety analysis and banned outside
 // common/thread_annotations.h.
@@ -8,16 +7,14 @@
 namespace scrpqo_fixture {
 
 struct Registry {
-  std::mutex mu_;  // scrpqo-lint: expect(raw-mutex)
-  std::shared_mutex rw_mu_;  // scrpqo-lint: expect(raw-mutex)
+  std::mutex mu_;  // effects-expect(raw-mutex)
+  std::shared_mutex rw_mu_;  // effects-expect(raw-mutex)
 
   void Touch() {
-    std::lock_guard<std::mutex> lock(mu_);  // scrpqo-lint: expect(raw-mutex)
+    std::lock_guard<std::mutex> lock(mu_);  // effects-expect(raw-mutex)
   }
 
-  // Interop with a third-party API that hands us a std::unique_lock;
-  // suppressed at the boundary.
-  // scrpqo-lint: allow(raw-mutex)
+  SCRPQO_EFFECT_ALLOW(raw-mutex, "fixture: a third-party API hands us a std::unique_lock at the boundary")
   void Adopt(std::unique_lock<std::mutex> external);
 };
 

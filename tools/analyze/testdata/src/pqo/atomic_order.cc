@@ -1,4 +1,3 @@
-// lint-path: src/pqo/fixture_atomic_order.cc
 // Fixture for the atomic-order rule: default-seq_cst atomic operations in
 // the serving layers must name their memory order.
 #include <atomic>
@@ -11,11 +10,11 @@ struct Stats {
 };
 
 long ReadBare(Stats& s) {
-  return s.hits.load();  // scrpqo-lint: expect(atomic-order)
+  return s.hits.load();  // effects-expect(atomic-order)
 }
 
 void WriteBare(Stats& s) {
-  s.enabled.store(true);  // scrpqo-lint: expect(atomic-order)
+  s.enabled.store(true);  // effects-expect(atomic-order)
 }
 
 long ReadExplicit(Stats& s) {
@@ -31,8 +30,7 @@ void MultiLineExplicit(Stats& s) {
 }
 
 long SeqCstOnPurpose(Stats& s) {
-  // Deliberate seq_cst as a publication fence; suppressed with a reason.
-  // scrpqo-lint: allow(atomic-order)
+  SCRPQO_EFFECT_ALLOW(atomic-order, "fixture: deliberate seq_cst publication fence");
   return s.hits.fetch_add(1);
 }
 

@@ -1,4 +1,3 @@
-// lint-path: src/pqo/fixture_blocking_under_lock.cc
 // Fixture for the blocking-under-lock rule: no optimizer / sink / I-O call
 // while a Mutex or SharedMutex scope is active.
 
@@ -25,12 +24,12 @@ struct Cache {
 
   void OptimizeUnderScopedLock(int wi) {
     MutexLock lock(mu_);
-    engine_->Optimize(wi);  // scrpqo-lint: expect(blocking-under-lock)
+    engine_->Optimize(wi);  // effects-expect(blocking-under-lock)
   }
 
   void FanOutUnderManualLock(int batch) {
     mu_.Lock();
-    sink_->Consume(batch);  // scrpqo-lint: expect(blocking-under-lock)
+    sink_->Consume(batch);  // effects-expect(blocking-under-lock)
     mu_.Unlock();
   }
 
@@ -39,7 +38,7 @@ struct Cache {
     if (wi > 0) {
       // A nested block closing must NOT release the guard...
     }
-    engine_->Optimize(wi);  // scrpqo-lint: expect(blocking-under-lock)
+    engine_->Optimize(wi);  // effects-expect(blocking-under-lock)
   }
 
   void OptimizeOutsideLock(int wi) {
@@ -52,8 +51,7 @@ struct Cache {
 
   void ColdPathByDesign(int wi) {
     MutexLock lock(mu_);
-    // Shutdown path, never concurrent with serving; suppressed.
-    // scrpqo-lint: allow(blocking-under-lock)
+    SCRPQO_EFFECT_ALLOW(blocking-under-lock, "fixture: shutdown path, never concurrent with serving");
     engine_->Optimize(wi);
   }
 };

@@ -1,4 +1,3 @@
-// lint-path: src/pqo/fixture_tracer_record.cc
 // Fixture for the tracer-record-outside-obs rule: only the obs layer may
 // call Tracer::Record directly; emitters use EmitDecisionEvent.
 
@@ -19,12 +18,12 @@ struct Emitter {
   Tracer* alert_tracer_ = nullptr;
 
   void DirectMember(Event e) {
-    obs_.tracer->Record(e);  // scrpqo-lint: expect(tracer-record-outside-obs)
+    obs_.tracer->Record(e);  // effects-expect(tracer-record-outside-obs)
   }
 
   void DirectLocal(Event e) {
     Tracer* tracer = alert_tracer_;
-    tracer->Record(e);  // scrpqo-lint: expect(tracer-record-outside-obs)
+    tracer->Record(e);  // effects-expect(tracer-record-outside-obs)
   }
 
   void ThroughFunnel(Event e) {
@@ -33,8 +32,7 @@ struct Emitter {
   }
 
   void TestOnlyShim(Event e) {
-    // Fault-injection shim that must bypass the funnel; suppressed.
-    // scrpqo-lint: allow(tracer-record-outside-obs)
+    SCRPQO_EFFECT_ALLOW(tracer-record-outside-obs, "fixture: fault-injection shim that must bypass the funnel");
     obs_.tracer->Record(e);
   }
 };
