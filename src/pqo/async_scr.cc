@@ -4,17 +4,19 @@
 
 namespace scrpqo {
 
-AsyncScr::AsyncScr(ScrOptions options) : inner_(options) {
+AsyncScr::AsyncScr(ScrOptions options, bool deferred)
+    : inner_(options), deferred_(deferred) {
   {
     // The object is not yet shared, but taking the lock keeps the
     // guarded inner_.name() read provable without an analysis escape.
     ReaderMutexLock cache_lock(cache_mu_);
     name_ = "Async" + inner_.name();
   }
-  worker_ = std::thread([this] { WorkerLoop(); });
+  if (deferred_) worker_ = std::thread([this] { WorkerLoop(); });
 }
 
 AsyncScr::~AsyncScr() {
+  if (!deferred_) return;
   {
     MutexLock lock(queue_mu_);
     shutting_down_ = true;
@@ -63,9 +65,7 @@ void AsyncScr::WorkerLoop() {
         GetPlanSpan span(span_enabled_.load(std::memory_order_relaxed));
         span.Seed(task.stages);
         inner_.RegisterOptimization(task.wi, std::move(task.result),
-                                    engine_.load(std::memory_order_relaxed),
-                                    task.get_plan_recosts,
-                                    task.get_plan_candidates);
+                                    task.engine, &task.attempt);
       }
     }
     queue_mu_.Lock();
@@ -103,39 +103,34 @@ bool AsyncScr::TryReuseFast(const WorkloadInstance& wi,
 
 PlanChoice AsyncScr::OnInstance(const WorkloadInstance& wi,
                                 EngineContext* engine) {
-  // Span for the critical-path half (reuse attempt + optimize); a no-op
-  // when a PqoManager already opened one for this call.
+  // Span for the whole decision; a no-op when a PqoManager already opened
+  // one for this call.
   GetPlanSpan span(span_enabled_.load(std::memory_order_relaxed));
-  engine_.store(engine, std::memory_order_relaxed);
-  PlanChoice probe;
+  PlanChoice choice;
   int64_t start_ns = -1;
-  if (TryReuseFast(wi, engine, &probe, &start_ns)) return probe;
+  if (TryReuseFast(wi, engine, &choice, &start_ns)) return choice;
 
-  // Cache miss: optimize on the critical path (the query must run), hand
-  // the bookkeeping to the worker, and return the fresh optimal plan. The
-  // optimizer call runs outside every lock.
+  // Cache miss: optimize on the critical path (the query must run), with
+  // no lock held. The failed attempt's recost and candidate counts stay in
+  // `choice`: they belong to this getPlan (max_recost_per_get_plan would
+  // otherwise under-report misses).
   auto result = engine->Optimize(wi);
   if (result == nullptr) [[unlikely]] {
-    // Optimizer unavailable: fall back to the wrapped cache's degraded
-    // path. ServeDegraded may mutate the cache (retry success runs
-    // manageCache inline), so it takes the exclusive side.
-    PlanChoice degraded;
-    degraded.recost_calls_in_get_plan = probe.recost_calls_in_get_plan;
-    degraded.cost_check_candidates_in_get_plan =
-        probe.cost_check_candidates_in_get_plan;
-    WriterMutexLock cache_lock(cache_mu_);
-    if (lock_exclusive_ != nullptr) lock_exclusive_->Increment();
-    inner_.ServeDegraded(wi, engine, &degraded, start_ns);
-    return degraded;
+    ServeDegraded(wi, engine, &choice, start_ns);
+    return choice;
   }
-  PlanChoice choice;
   choice.optimized = true;
-  // Recost calls the failed reuse attempt made still belong to this
-  // getPlan (max_recost_per_get_plan would otherwise under-report misses).
-  choice.recost_calls_in_get_plan = probe.recost_calls_in_get_plan;
-  choice.cost_check_candidates_in_get_plan =
-      probe.cost_check_candidates_in_get_plan;
-  choice.plan = std::make_shared<CachedPlan>(MakeCachedPlan(*result));
+  if (!deferred_) {
+    ManageInline(wi, std::move(result), engine, &choice, start_ns);
+    return choice;
+  }
+  // Deferred: return the fresh optimal plan and hand the bookkeeping to
+  // the worker. Capture the ambient breakdown (ours, or the manager's
+  // outer span) rather than `span.breakdown()`: when nested, the outer
+  // span owns the stages and ours is empty.
+  StageBreakdown stages;
+  if (const StageBreakdown* b = SpanContext::Current()) stages = *b;
+  auto plan = std::make_shared<CachedPlan>(MakeCachedPlan(*result));
   {
     // Bounded hand-off: a miss may leave at most kMaxPendingTasks deferred
     // updates outstanding before it waits for the worker, so the cache
@@ -145,19 +140,47 @@ PlanChoice AsyncScr::OnInstance(const WorkloadInstance& wi,
       space_available_.Wait(queue_mu_);
     }
     if (!shutting_down_) {
-      // Capture the ambient breakdown (ours, or the manager's outer span)
-      // rather than `span.breakdown()`: when nested, the outer span owns
-      // the stages and ours is empty.
-      StageBreakdown stages;
-      if (const StageBreakdown* b = SpanContext::Current()) stages = *b;
-      queue_.push_back(Task{wi, std::move(result),
-                            probe.recost_calls_in_get_plan,
-                            probe.cost_check_candidates_in_get_plan,
-                            stages});
+      queue_.push_back(Task{wi, std::move(result), engine, choice, stages});
     }
   }
   work_available_.NotifyOne();
+  choice.plan = std::move(plan);
   return choice;
+}
+
+void AsyncScr::ManageInline(const WorkloadInstance& wi,
+                            std::shared_ptr<const OptimizationResult> result,
+                            EngineContext* engine, PlanChoice* choice,
+                            int64_t start_ns) {
+  WriterMutexLock cache_lock(cache_mu_);
+  if (lock_exclusive_ != nullptr) lock_exclusive_->Increment();
+  inner_.RegisterOptimization(wi, std::move(result), engine, choice,
+                              start_ns);
+}
+
+void AsyncScr::ServeDegraded(const WorkloadInstance& wi,
+                             EngineContext* engine, PlanChoice* choice,
+                             int64_t start_ns) {
+  {
+    // The cached fallback only reads the cache (its usage bump is a
+    // relaxed atomic), so it shares the lock with concurrent readers.
+    ReaderMutexLock cache_lock(cache_mu_);
+    if (lock_shared_ != nullptr) lock_shared_->Increment();
+    if (inner_.TryServeDegraded(wi, engine, choice, start_ns)) return;
+  }
+  // Nothing cached to fall back on: retry the optimizer, backoff included,
+  // with no lock held.
+  auto result = engine->RetryOptimize(wi);
+  if (result != nullptr) {
+    // The optimizer recovered: a normal optimized decision after all
+    // (guarantee intact), not a degraded one.
+    choice->optimized = true;
+    ManageInline(wi, std::move(result), engine, choice, start_ns);
+    return;
+  }
+  ReaderMutexLock cache_lock(cache_mu_);
+  if (lock_shared_ != nullptr) lock_shared_->Increment();
+  inner_.RecordDegraded(wi, choice, start_ns);
 }
 
 void AsyncScr::Flush() {

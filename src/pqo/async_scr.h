@@ -2,22 +2,24 @@
 // need to occur on the critical path of query execution, it can be
 // implemented asynchronously on a background thread").
 //
-// AsyncScr keeps getPlan (selectivity + cost checks) synchronous while
-// redundancy checks and plan-store updates run on a worker thread. When the
-// cache misses, the instance is optimized synchronously (the query needs a
-// plan to execute) and the freshly optimized plan is returned directly; the
-// manageCache work — redundancy check, store-or-reject, budget enforcement
-// — happens in the background. Net effect: identical guarantee, lower
-// critical-path latency, with the small semantic difference that an
-// instance arriving before its predecessor's manageCache completes may
-// trigger an extra optimizer call.
-//
-// Concurrency model: the cache is guarded by a reader/writer lock. getPlan
-// reuse attempts take the shared side, so any number of request threads can
-// run selectivity and cost checks simultaneously (everything TryReuse
-// writes is a relaxed atomic); only the worker's deferred manageCache takes
-// the exclusive side. The task queue has its own plain mutex so producers
-// never serialize behind in-flight cache reads. Lock-acquisition counters
+// AsyncScr is the serving cache PqoManager backs every template with.
+// getPlan runs on the caller's thread under the shared side of a
+// reader/writer lock, so request threads reuse plans in parallel
+// (everything TryReuse writes is a relaxed atomic). A miss is optimized on
+// the caller's thread with no lock held, and its manageCache runs under
+// the exclusive side in one of two modes, fixed at construction:
+//  - deferred (default): on a worker thread, and the fresh optimal plan
+//    is served at once. An instance arriving before its predecessor's
+//    manageCache completes may take an extra optimizer call. The task
+//    queue has its own plain mutex, so producers never wait on readers.
+//  - inline: on the caller's thread, with no worker thread, serving the
+//    store's plan. With one client this decides, serves and traces
+//    exactly as Scr::OnInstance does.
+// Either way concurrent misses may each optimize before either registers
+// its plan. An optimizer failure serves the cheapest cached plan under
+// the shared side; with nothing cached, the retries and their backoff run
+// with no lock held, and a successful retry's manageCache runs inline. No
+// optimizer call or sleep runs under cache_mu_. Lock-acquisition counters
 // ("async_scr.lock_shared" / "async_scr.lock_exclusive") expose the
 // read/write mix through the metrics registry.
 //
@@ -41,7 +43,9 @@ namespace scrpqo {
 
 class AsyncScr : public PqoTechnique {
  public:
-  explicit AsyncScr(ScrOptions options);
+  /// `deferred`: manageCache on a worker thread (true) or inline on the
+  /// missing caller's thread (false, no worker is started).
+  explicit AsyncScr(ScrOptions options, bool deferred = true);
   ~AsyncScr() override;
 
   /// Computed once at construction (the analysis would otherwise demand
@@ -49,7 +53,7 @@ class AsyncScr : public PqoTechnique {
   std::string name() const override { return name_; }
 
   /// Forwards the sinks to the wrapped Scr. Decision events for misses are
-  /// emitted by the worker thread when the deferred manageCache runs, and
+  /// emitted by the worker thread when a deferred manageCache runs, and
   /// sel/cost-check hits may be emitted from concurrent request threads, so
   /// the sinks must be thread-safe (RingTracer and MetricsRegistry are).
   void SetObs(const ObsHooks& hooks) override EXCLUDES(cache_mu_);
@@ -71,8 +75,7 @@ class AsyncScr : public PqoTechnique {
 
   // --- cross-template budget support (see Scr's counterparts). Each call
   // takes the appropriate side of the cache lock, so PqoManager's global
-  // evictor can drive any mix of Scr / AsyncScr caches without knowing
-  // about this class's locking. ---
+  // evictor needs no knowledge of this class's locking. ---
 
   /// LFU frontier of the wrapped cache (shared lock).
   int64_t MinLivePlanUsage(uint64_t pinned_signature = 0) const
@@ -92,10 +95,10 @@ class AsyncScr : public PqoTechnique {
   struct Task {
     WorkloadInstance wi;
     std::shared_ptr<const OptimizationResult> result;
-    /// Stats of the failed critical-path reuse attempt, forwarded into the
-    /// deferred decision event.
-    int get_plan_recosts = 0;
-    int get_plan_candidates = 0;
+    EngineContext* engine = nullptr;
+    /// The failed critical-path reuse attempt's recost and candidate
+    /// counts, forwarded into the deferred decision event.
+    PlanChoice attempt;
     /// Stage breakdown of the critical-path half (failed reuse attempt +
     /// optimize), seeded into the worker's span so the deferred decision
     /// event attributes the full getPlan, not just the manageCache tail.
@@ -103,6 +106,17 @@ class AsyncScr : public PqoTechnique {
   };
 
   void WorkerLoop();
+
+  /// manageCache on the calling thread under the exclusive side.
+  void ManageInline(const WorkloadInstance& wi,
+                    std::shared_ptr<const OptimizationResult> result,
+                    EngineContext* engine, PlanChoice* choice,
+                    int64_t start_ns) EXCLUDES(cache_mu_);
+
+  /// The degraded getPlan in Scr's pieces (see Scr::TryServeDegraded).
+  void ServeDegraded(const WorkloadInstance& wi, EngineContext* engine,
+                     PlanChoice* choice, int64_t start_ns)
+      EXCLUDES(cache_mu_);
 
   /// The warmed getPlan fast path: one shared acquisition of cache_mu_
   /// around the inner SCR's reuse attempt. Split out of OnInstance so the
@@ -113,8 +127,9 @@ class AsyncScr : public PqoTechnique {
   bool TryReuseFast(const WorkloadInstance& wi, EngineContext* engine,
                     PlanChoice* probe, int64_t* start_ns) EXCLUDES(cache_mu_);
 
-  /// Reader/writer split over the cache: shared for TryReuse (and stat
-  /// reads), exclusive for the worker's RegisterOptimization and SetObs.
+  /// Reader/writer split over the cache: shared for TryReuse, the
+  /// degraded fallback and stat reads; exclusive for manageCache, eviction
+  /// and SetObs.
   mutable SharedMutex cache_mu_;
 
   /// The wrapped synchronous cache. Thread-compatible, so every method
@@ -139,9 +154,6 @@ class AsyncScr : public PqoTechnique {
   bool shutting_down_ GUARDED_BY(queue_mu_) = false;
   bool worker_busy_ GUARDED_BY(queue_mu_) = false;
   int64_t tasks_processed_ GUARDED_BY(queue_mu_) = 0;
-  /// Engine used by background tasks (set per OnInstance call; the harness
-  /// uses one engine per sequence so this is stable in practice).
-  std::atomic<EngineContext*> engine_{nullptr};
   /// Lock-mix counters (null without a metrics registry). Written by
   /// SetObs under the exclusive cache lock; request threads read them
   /// under at least the shared side.
@@ -155,7 +167,8 @@ class AsyncScr : public PqoTechnique {
   std::atomic<bool> span_enabled_{false};
   /// "Async" + inner name; immutable after the constructor.
   std::string name_;
-  std::thread worker_;
+  const bool deferred_;
+  std::thread worker_;  // started only when deferred_
 };
 
 }  // namespace scrpqo

@@ -103,6 +103,20 @@ class EngineContext {
     return result;
   }
 
+  /// After a failed Optimize: retries it up to three times with bounded
+  /// exponential backoff (100, 200 and 400 us before the attempts). Null
+  /// when every retry failed. The backoff sleeps, so callers hold no lock
+  /// across it (the analyzer's blocking-under-lock rule checks this).
+  std::shared_ptr<const OptimizationResult> RetryOptimize(
+      const WorkloadInstance& wi) {
+    for (int attempt = 0; attempt < 3; ++attempt) {
+      std::this_thread::sleep_for(
+          std::chrono::microseconds(int64_t{100} << attempt));
+      if (auto result = Optimize(wi)) return result;
+    }
+    return nullptr;
+  }
+
   /// Recost API call (charged).
   [[nodiscard]] SCRPQO_HOT SCRPQO_NOALLOC SCRPQO_NONBLOCKING
   SCRPQO_FP_DETERMINISTIC SCRPQO_LOCK_BOUNDED()

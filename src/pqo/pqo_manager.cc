@@ -1,6 +1,5 @@
 #include "pqo/pqo_manager.h"
 
-#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <functional>
@@ -76,15 +75,11 @@ void PqoManager::SetObs(const ObsHooks& hooks) {
       degraded_counter_.store(nullptr, std::memory_order_relaxed);
     }
   }
-  // Forward to existing caches. obs_mu_ is NOT held here: SetObs acquires
+  // Forward to existing caches. obs_mu_ is NOT held here: AllCaches takes
   // state mutexes, while FinishWarmupLocked acquires obs_mu_ under a state
-  // mutex — holding both sides here would invert that order.
-  for (const StatePtr& st : AllStates()) {
-    TemplateState* state = st.get();
-    MutexLock st_lock(state->mu);
-    if (state->sync_scr != nullptr) state->sync_scr->SetObs(hooks);
-    if (state->async_scr != nullptr) state->async_scr->SetObs(hooks);
-  }
+  // mutex — holding both sides here would invert that order. A template
+  // that leaves warm-up after its pointer was read copies obs_ from above.
+  for (const CacheRef& ref : AllCaches()) ref.cache->SetObs(hooks);
 }
 
 PqoManager::StatePtr PqoManager::GetOrCreate(const std::string& key) {
@@ -108,6 +103,19 @@ std::vector<PqoManager::StatePtr> PqoManager::AllStates() const {
     const Shard& shard = *shard_ptr;
     ShardLock lock(*this, shard);
     for (const auto& [key, st] : shard.templates) out.push_back(st);
+  }
+  return out;
+}
+
+std::vector<PqoManager::CacheRef> PqoManager::AllCaches() const {
+  std::vector<CacheRef> out;
+  for (StatePtr& st : AllStates()) {
+    AsyncScr* cache = nullptr;
+    {
+      MutexLock lock(st->mu);
+      cache = st->cache.get();
+    }
+    if (cache != nullptr) out.push_back(CacheRef{std::move(st), cache});
   }
   return out;
 }
@@ -163,16 +171,12 @@ void PqoManager::FinishWarmupLocked(TemplateState* st) {
     MutexLock obs_lock(obs_mu_);
     hooks = obs_;
   }
-  if (options_.use_async) {
-    st->async_scr = std::make_unique<AsyncScr>(opts);
-    st->async_scr->SetScopeLabel(st->key);
-    st->async_scr->SetObs(hooks);
-  } else {
-    st->sync_scr = std::make_unique<Scr>(opts);
-    st->sync_scr->SetScopeLabel(st->key);
-    st->sync_scr->SetObs(hooks);
-  }
-  st->ready = true;
+  // The cache is configured before it is published: nothing else can
+  // reach it yet, so the cache_mu_ acquisitions below never wait.
+  auto cache = std::make_unique<AsyncScr>(opts, options_.use_async);
+  cache->SetScopeLabel(st->key);
+  cache->SetObs(hooks);
+  st->cache = std::move(cache);
 }
 
 PlanChoice PqoManager::OnInstance(const std::string& template_key,
@@ -184,92 +188,27 @@ PlanChoice PqoManager::OnInstance(const std::string& template_key,
   GetPlanSpan span(span_enabled_.load(std::memory_order_relaxed));
   StatePtr st = GetOrCreate(template_key);
   TemplateState* state = st.get();
-  PlanChoice choice;
-  AsyncScr* async = nullptr;
-  bool warming = false;
+  AsyncScr* cache = nullptr;
   {
     MutexLock st_lock(state->mu);
-    if (!state->ready && options_.warmup_instances <= 0) {
+    if (state->cache == nullptr && options_.warmup_instances <= 0) {
       FinishWarmupLocked(state);
     }
-    if (!state->ready) {
+    cache = state->cache.get();
+    if (cache == nullptr) {
       // Warm-up phase: Optimize-Always while measuring costs. Completion
       // counts attempts, not successes, so a template whose optimizer
       // calls fail still leaves warm-up (with the default-lambda
-      // fallback) instead of being stuck here forever. The optimizer call
-      // itself runs after the lock is dropped — holding a template mutex
-      // across an engine call would serialize every concurrent warm-up
-      // instance of the template behind one optimize (and is exactly what
-      // the blocking-under-lock lint rule rejects).
+      // fallback) instead of being stuck here forever.
       ++state->warmup_attempts;
       ++state->warmup_inflight;
-      warming = true;
-    } else if (state->async_scr != nullptr) {
-      // AsyncScr handles its own locking; drop the template mutex so
-      // concurrent readers of this template proceed in parallel.
-      async = state->async_scr.get();
-    } else {
-      // Synchronous Scr is thread-compatible only: the template mutex
-      // serializes every cache operation on it.
-      choice = state->sync_scr->OnInstance(wi, engine);
     }
   }
-  if (warming) {
-    auto result = engine->Optimize(wi);
-    // Warm-up is Optimize-Always with no cache to fall back on, so a
-    // failed optimizer call (fault or deadline overrun) is retried with
-    // bounded exponential backoff before the sample is given up. Runs
-    // outside every lock, like the first attempt.
-    for (int attempt = 0; result == nullptr && attempt < 3; ++attempt) {
-      std::this_thread::sleep_for(
-          std::chrono::microseconds(int64_t{100} << attempt));
-      result = engine->Optimize(wi);
-    }
-    choice.optimized = true;
-    MutexLock st_lock(state->mu);
-    --state->warmup_inflight;
-    if (result != nullptr && std::isfinite(result->cost)) {
-      ++state->warmup_seen;
-      state->warmup_cost_sum += result->cost;
-      choice.plan = std::make_shared<CachedPlan>(MakeCachedPlan(*result));
-    } else {
-      // Every retry failed: this instance cannot be served (plan stays
-      // null) and the decision is explicitly degraded — traced so chaos
-      // audits can separate it from guaranteed decisions.
-      choice.degraded = true;
-      choice.optimized = false;
-      RingTracer* tracer = nullptr;
-      {
-        MutexLock obs_lock(obs_mu_);
-        tracer = obs_.tracer;
-      }
-      if (Counter* c = degraded_counter_.load(std::memory_order_relaxed)) {
-        c->Increment();
-      }
-      if (tracer != nullptr) {
-        DecisionEvent ev;
-        ev.outcome = DecisionOutcome::kDegraded;
-        ev.instance_id = wi.id;
-        ev.technique = warmup_failed_name_;
-        ev.template_key = state->key_name;
-        EmitDecisionEvent(tracer, ev);
-      }
-    }
-    // Leave warm-up only once the attempt target is reached AND every
-    // in-flight optimize has reported its cost sample back, so the lambda
-    // decision sees the full warm-up window. A concurrent arrival in that
-    // gap takes one extra Optimize-Always pass, which keeps the bound at
-    // exactly 1 — never a stale cached plan.
-    if (!state->ready &&
-        state->warmup_attempts >= options_.warmup_instances &&
-        state->warmup_inflight == 0) {
-      FinishWarmupLocked(state);
-    }
-    // Warm-up plans are not cached, so the global budget is unaffected.
-    return choice;
-  }
-  if (async != nullptr) choice = async->OnInstance(wi, engine);
-
+  // The cache handles its own locking, and `st` keeps it alive, so
+  // concurrent decisions on this template proceed without the template
+  // mutex; the optimizer never runs under it.
+  if (cache == nullptr) return WarmUp(state, wi, engine);
+  PlanChoice choice = cache->OnInstance(wi, engine);
   if (choice.optimized && (options_.global_plan_budget > 0 ||
                            options_.global_memory_bytes > 0)) {
     uint64_t pin = choice.plan != nullptr ? choice.plan->signature : 0;
@@ -278,36 +217,57 @@ PlanChoice PqoManager::OnInstance(const std::string& template_key,
   return choice;
 }
 
-int64_t PqoManager::StatePlans(const TemplateState& st) const {
-  MutexLock lock(st.mu);
-  if (!st.ready) return 0;
-  return st.async_scr != nullptr ? st.async_scr->NumPlansCached()
-                                 : st.sync_scr->NumPlansCached();
-}
-
-int64_t PqoManager::StateMemoryBytes(const TemplateState& st) const {
-  MutexLock lock(st.mu);
-  if (!st.ready) return 0;
-  return st.async_scr != nullptr ? st.async_scr->EstimatedMemoryBytes()
-                                 : st.sync_scr->EstimatedMemoryBytes();
-}
-
-int64_t PqoManager::StateMinUsage(const TemplateState& st,
-                                  uint64_t pinned_signature) const {
-  MutexLock lock(st.mu);
-  if (!st.ready) return -1;
-  return st.async_scr != nullptr
-             ? st.async_scr->MinLivePlanUsage(pinned_signature)
-             : st.sync_scr->MinLivePlanUsage(pinned_signature);
-}
-
-bool PqoManager::StateEvictOne(TemplateState* st, int instance_id,
-                               uint64_t pinned_signature) {
-  MutexLock lock(st->mu);
-  if (!st->ready) return false;
-  return st->async_scr != nullptr
-             ? st->async_scr->EvictLfuPlan(instance_id, pinned_signature)
-             : st->sync_scr->EvictLfuPlan(instance_id, pinned_signature);
+PlanChoice PqoManager::WarmUp(TemplateState* state,
+                              const WorkloadInstance& wi,
+                              EngineContext* engine) {
+  // Warm-up is Optimize-Always with no cache to fall back on, so a failed
+  // optimizer call (fault or deadline overrun) is retried before the
+  // sample is given up. Both run outside every lock.
+  auto result = engine->Optimize(wi);
+  if (result == nullptr) result = engine->RetryOptimize(wi);
+  PlanChoice choice;
+  choice.optimized = true;
+  MutexLock st_lock(state->mu);
+  --state->warmup_inflight;
+  if (result != nullptr && std::isfinite(result->cost)) {
+    ++state->warmup_seen;
+    state->warmup_cost_sum += result->cost;
+    choice.plan = std::make_shared<CachedPlan>(MakeCachedPlan(*result));
+  } else {
+    // Every retry failed: this instance cannot be served (plan stays
+    // null) and the decision is explicitly degraded — traced so chaos
+    // audits can separate it from guaranteed decisions.
+    choice.degraded = true;
+    choice.optimized = false;
+    RingTracer* tracer = nullptr;
+    {
+      MutexLock obs_lock(obs_mu_);
+      tracer = obs_.tracer;
+    }
+    if (Counter* c = degraded_counter_.load(std::memory_order_relaxed)) {
+      c->Increment();
+    }
+    if (tracer != nullptr) {
+      DecisionEvent ev;
+      ev.outcome = DecisionOutcome::kDegraded;
+      ev.instance_id = wi.id;
+      ev.technique = warmup_failed_name_;
+      ev.template_key = state->key_name;
+      EmitDecisionEvent(tracer, ev);
+    }
+  }
+  // Leave warm-up only once the attempt target is reached AND every
+  // in-flight optimize has reported its cost sample back, so the lambda
+  // decision sees the full warm-up window. A concurrent arrival in that
+  // gap takes one extra Optimize-Always pass, which keeps the bound at
+  // exactly 1 — never a stale cached plan.
+  if (state->cache == nullptr &&
+      state->warmup_attempts >= options_.warmup_instances &&
+      state->warmup_inflight == 0) {
+    FinishWarmupLocked(state);
+  }
+  // Warm-up plans are not cached, so the global budget is unaffected.
+  return choice;
 }
 
 void PqoManager::EnforceGlobalBudget(TemplateState* current,
@@ -322,13 +282,13 @@ void PqoManager::EnforceGlobalBudget(TemplateState* current,
   // reverse (see DESIGN.md "Capability map & lock order").
   MutexLock sweep(evict_mu_);
   for (;;) {
-    std::vector<StatePtr> states = AllStates();
+    const std::vector<CacheRef> caches = AllCaches();
     int64_t total_plans = 0;
     int64_t total_bytes = 0;
-    for (const StatePtr& st : states) {
-      total_plans += StatePlans(*st);
+    for (const CacheRef& ref : caches) {
+      total_plans += ref.cache->NumPlansCached();
       if (options_.global_memory_bytes > 0) {
-        total_bytes += StateMemoryBytes(*st);
+        total_bytes += ref.cache->EstimatedMemoryBytes();
       }
     }
     bool over =
@@ -340,19 +300,19 @@ void PqoManager::EnforceGlobalBudget(TemplateState* current,
 
     // Globally least-used plan across every template, honoring the pin on
     // the in-flight instance's just-chosen plan.
-    StatePtr victim;
+    const CacheRef* victim = nullptr;
     int64_t victim_usage = std::numeric_limits<int64_t>::max();
-    for (const StatePtr& st : states) {
-      uint64_t pin = st.get() == current ? pinned_signature : 0;
-      int64_t usage = StateMinUsage(*st, pin);
+    for (const CacheRef& ref : caches) {
+      uint64_t pin = ref.state.get() == current ? pinned_signature : 0;
+      int64_t usage = ref.cache->MinLivePlanUsage(pin);
       if (usage >= 0 && usage < victim_usage) {
         victim_usage = usage;
-        victim = st;
+        victim = &ref;
       }
     }
     if (victim == nullptr) return;  // only the pinned plan is left
-    uint64_t pin = victim.get() == current ? pinned_signature : 0;
-    if (!StateEvictOne(victim.get(), instance_id, pin)) return;
+    uint64_t pin = victim->state.get() == current ? pinned_signature : 0;
+    if (!victim->cache->EvictLfuPlan(instance_id, pin)) return;
     global_evictions_.fetch_add(1, std::memory_order_relaxed);
     if (Counter* c =
             global_evictions_counter_.load(std::memory_order_relaxed)) {
@@ -373,13 +333,15 @@ int64_t PqoManager::NumTemplates() const {
 
 int64_t PqoManager::TotalPlansCached() const {
   int64_t total = 0;
-  for (const StatePtr& st : AllStates()) total += StatePlans(*st);
+  for (const CacheRef& ref : AllCaches()) total += ref.cache->NumPlansCached();
   return total;
 }
 
 int64_t PqoManager::TotalMemoryBytes() const {
   int64_t total = 0;
-  for (const StatePtr& st : AllStates()) total += StateMemoryBytes(*st);
+  for (const CacheRef& ref : AllCaches()) {
+    total += ref.cache->EstimatedMemoryBytes();
+  }
   return total;
 }
 
@@ -415,7 +377,7 @@ double PqoManager::LambdaFor(const std::string& template_key) const {
   // Warm-up serves every instance its freshly optimized plan, so the bound
   // in force is exactly 1 (Optimize-Always semantics) — never 0, which
   // downstream code could misread as a vacuously violated bound.
-  return state->ready ? state->lambda : 1.0;
+  return state->cache != nullptr ? state->lambda : 1.0;
 }
 
 namespace {
@@ -455,15 +417,16 @@ std::string PqoManager::StatuszJson() const {
   bool first = true;
   for (const StatePtr& st : AllStates()) {
     TemplateState* state = st.get();
-    double lambda;
-    bool warming;
+    double lambda = 1.0;
+    AsyncScr* cache = nullptr;
     {
       MutexLock st_lock(state->mu);
-      warming = !state->ready;
-      lambda = state->ready ? state->lambda : 1.0;
+      cache = state->cache.get();
+      if (cache != nullptr) lambda = state->lambda;
     }
-    int64_t plans = StatePlans(*st);
-    int64_t bytes = StateMemoryBytes(*st);
+    const bool warming = cache == nullptr;
+    int64_t plans = warming ? 0 : cache->NumPlansCached();
+    int64_t bytes = warming ? 0 : cache->EstimatedMemoryBytes();
     total_plans += plans;
     total_bytes += bytes;
     ++templates;
@@ -511,15 +474,7 @@ std::string PqoManager::StatuszJson() const {
 }
 
 void PqoManager::FlushAll() {
-  for (const StatePtr& st : AllStates()) {
-    TemplateState* state = st.get();
-    AsyncScr* async = nullptr;
-    {
-      MutexLock st_lock(state->mu);
-      async = state->async_scr.get();
-    }
-    if (async != nullptr) async->Flush();
-  }
+  for (const CacheRef& ref : AllCaches()) ref.cache->Flush();
   // Deferred manageCache work may have pushed past the budget; settle it.
   EnforceGlobalBudget(nullptr, 0, -1);
 }

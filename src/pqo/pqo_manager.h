@@ -11,10 +11,14 @@
 //    The shard lock guards only map lookup/insert/erase — never an
 //    optimizer call or a cache operation — so OnInstance from M threads
 //    over T templates never serializes globally.
-//  - per-template caches are Scr by default or AsyncScr when
-//    `use_async` is set; AsyncScr-backed templates serve concurrent
-//    getPlan traffic under the technique's own shared lock, while plain
-//    Scr caches are serialized per template by the template-state mutex.
+//  - every template's cache is an AsyncScr. getPlan runs under the cache's
+//    shared lock with no manager lock held, so concurrent decisions on one
+//    template proceed in parallel; a miss optimizes with no lock held. Its
+//    manageCache runs deferred on the cache's worker thread (`use_async`)
+//    or inline on the caller's thread under the cache's exclusive lock.
+//    Either way concurrent misses on one template may each optimize before
+//    either registers its plan. The template mutex guards only the warm-up
+//    fields and the cache pointer.
 //  - a process-wide budget (`global_plan_budget` plans and/or
 //    `global_memory_bytes` estimated from CachedPlan footprints) is
 //    enforced by cross-template LFU eviction reusing the PlanStore usage
@@ -40,7 +44,6 @@
 
 #include "common/thread_annotations.h"
 #include "pqo/async_scr.h"
-#include "pqo/scr.h"
 
 namespace scrpqo {
 
@@ -57,16 +60,20 @@ struct PqoManagerOptions {
   double lambda_loose = 2.0;
   /// Per-template plan budget (0 = unlimited).
   int plan_budget = 0;
-  /// Back each template's cache with AsyncScr (background manageCache,
-  /// shared-lock getPlan) instead of a synchronous Scr serialized per
-  /// template. Required for intra-template read concurrency.
+  /// Where each template cache's manageCache runs after a miss. true:
+  /// deferred to the cache's worker thread, and the miss serves its fresh
+  /// plan at once. false: inline on the missing caller's thread under the
+  /// cache's exclusive lock, with no worker thread; the store's plan is
+  /// served, and with one client every decision, event and count repeats
+  /// exactly as a standalone Scr's. getPlan shares the cache's lock in
+  /// both modes.
   bool use_async = false;
   /// Shard count for the template map; 0 = hardware_concurrency (min 1).
   int num_shards = 0;
   /// Process-wide cap on live plans across all templates (0 = unlimited).
   /// Enforced by cross-template LFU eviction after optimizing instances,
-  /// and on FlushAll(); with AsyncScr backing, deferred manageCache work
-  /// can transiently overshoot until the next enforcement point.
+  /// and on FlushAll(); with `use_async`, deferred manageCache work can
+  /// transiently overshoot until the next enforcement point.
   int64_t global_plan_budget = 0;
   /// Process-wide cap on estimated cache heap bytes (0 = unlimited).
   int64_t global_memory_bytes = 0;
@@ -138,10 +145,9 @@ class PqoManager {
   }
 
  private:
-  /// One template's serving state. `mu` guards the warm-up fields and, for
-  /// sync (non-async) caches, serializes every cache operation; an
-  /// AsyncScr cache handles its own locking, so post-warm-up traffic on it
-  /// takes no manager lock at all.
+  /// One template's serving state. `mu` guards the warm-up fields and the
+  /// cache pointer; the cache handles its own locking, so post-warm-up
+  /// traffic on it takes `mu` only to read the pointer.
   struct TemplateState {
     explicit TemplateState(std::string k)
         : key(std::move(k)), key_name(NameId::Intern(key)) {}
@@ -155,7 +161,6 @@ class PqoManager {
     const NameId key_name;
 
     mutable Mutex mu;
-    bool ready GUARDED_BY(mu) = false;  // warm-up done; one cache non-null
     /// Instances routed during warm-up. A failed optimize consumes an
     /// attempt without bumping warmup_seen, so completion is attempt-based
     /// (otherwise a template whose optimizes all fail never leaves warm-up,
@@ -170,12 +175,11 @@ class PqoManager {
     int warmup_seen GUARDED_BY(mu) = 0;
     double warmup_cost_sum GUARDED_BY(mu) = 0.0;
     double lambda GUARDED_BY(mu) = 0.0;
-    /// Thread-compatible cache: every pointee operation runs under mu.
-    std::unique_ptr<Scr> sync_scr GUARDED_BY(mu) PT_GUARDED_BY(mu);
-    /// Internally synchronized cache: the pointer is guarded, the pointee
-    /// is deliberately NOT (OnInstance snapshots the raw pointer under mu,
-    /// then serves through AsyncScr's own shared lock with mu released).
-    std::unique_ptr<AsyncScr> async_scr GUARDED_BY(mu);
+    /// Null until warm-up is done, then set once. Internally synchronized:
+    /// the pointer is guarded, the pointee is deliberately NOT (callers
+    /// read the raw pointer under mu, then use the cache with mu released
+    /// while their StatePtr keeps it alive).
+    std::unique_ptr<AsyncScr> cache GUARDED_BY(mu);
   };
   using StatePtr = std::shared_ptr<TemplateState>;
 
@@ -201,22 +205,28 @@ class PqoManager {
     const Shard& shard_;
   };
 
+  /// A warmed template's cache; `state` keeps it alive.
+  struct CacheRef {
+    StatePtr state;
+    AsyncScr* cache;
+  };
+
   Shard& ShardFor(const std::string& key) const;
   StatePtr GetOrCreate(const std::string& key);
   /// Snapshot of every live template state (one shard locked at a time).
   std::vector<StatePtr> AllStates() const;
+  /// Every warmed template's cache. Each pointer is read under its
+  /// template's mu; callers use the caches with no manager lock held.
+  std::vector<CacheRef> AllCaches() const;
 
   /// Picks lambda from the warm-up observations and builds the cache.
   void FinishWarmupLocked(TemplateState* st) REQUIRES(st->mu);
 
-  // Per-state accessors that take the state's own lock when the cache is a
-  // sync Scr (AsyncScr locks internally).
-  int64_t StatePlans(const TemplateState& st) const;
-  int64_t StateMemoryBytes(const TemplateState& st) const;
-  int64_t StateMinUsage(const TemplateState& st,
-                        uint64_t pinned_signature) const;
-  bool StateEvictOne(TemplateState* st, int instance_id,
-                     uint64_t pinned_signature);
+  /// One warm-up decision (Optimize-Always, retried on failure) whose
+  /// attempt OnInstance has counted; records its cost sample and finishes
+  /// warm-up once every attempt has reported.
+  PlanChoice WarmUp(TemplateState* state, const WorkloadInstance& wi,
+                    EngineContext* engine) EXCLUDES(state->mu, obs_mu_);
 
   /// Enforces global_plan_budget / global_memory_bytes by evicting the
   /// globally least-used plan until within budget. `current` (may be null)

@@ -1,12 +1,10 @@
 #include "pqo/scr.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <limits>
 #include <span>
 #include <sstream>
-#include <thread>
 #include <utility>
 
 #include "common/fault_injection.h"
@@ -193,18 +191,21 @@ PlanChoice Scr::OnInstance(const WorkloadInstance& wi, EngineContext* engine) {
   auto result = engine->Optimize(wi);
   if (result == nullptr) [[unlikely]] {
     // Optimizer unavailable (fault or deadline overrun): serve whatever
-    // the cache has, without the guarantee.
-    ServeDegraded(wi, engine, &choice, start_ns);
-    return choice;
+    // the cache has, without the guarantee; with nothing cached, retry.
+    if (TryServeDegraded(wi, engine, &choice, start_ns)) return choice;
+    result = engine->RetryOptimize(wi);
+    if (result == nullptr) {
+      RecordDegraded(wi, &choice, start_ns);
+      return choice;
+    }
   }
   choice.optimized = true;
-  ManageCache(wi, result, engine, &choice, start_ns);
+  RegisterOptimization(wi, std::move(result), engine, &choice, start_ns);
   return choice;
 }
 
-void Scr::ServeDegraded(const WorkloadInstance& wi, EngineContext* engine,
-                        PlanChoice* choice, int64_t start_ns) {
-  choice->degraded = true;
+bool Scr::TryServeDegraded(const WorkloadInstance& wi, EngineContext* engine,
+                           PlanChoice* choice, int64_t start_ns) {
   const SVector& sv = wi.svector;
   // Best cached plan by recost: the selectivity/cost checks already
   // rejected lambda-bounded reuse, so this is explicitly NOT
@@ -219,31 +220,21 @@ void Scr::ServeDegraded(const WorkloadInstance& wi, EngineContext* engine,
       best_id = id;
     }
   }
-  if (best_id < 0) {
-    // Empty (or all-non-finite) cache: nothing to fall back on. Retry the
-    // optimizer a few times with short exponential backoff — during
-    // warm-up this is the only way to make progress.
-    for (int attempt = 0; attempt < 3 && best_id < 0; ++attempt) {
-      std::this_thread::sleep_for(
-          std::chrono::microseconds(int64_t{100} << attempt));
-      auto retry = engine->Optimize(wi);
-      if (retry != nullptr) {
-        // The optimizer recovered: this is a normal optimized decision
-        // after all (guarantee intact), not a degraded one.
-        choice->degraded = false;
-        choice->optimized = true;
-        ManageCache(wi, retry, engine, choice, start_ns);
-        return;
-      }
-    }
-  } else {
-    store_.AddUsage(best_id, 1);
-    choice->plan = store_.entry(best_id).plan;
-  }
+  // Empty (or all-non-finite) cache: nothing to fall back on.
+  if (best_id < 0) return false;
+  store_.AddUsage(best_id, 1);
+  choice->plan = store_.entry(best_id).plan;
+  RecordDegraded(wi, choice, start_ns, best_id);
+  return true;
+}
+
+void Scr::RecordDegraded(const WorkloadInstance& wi, PlanChoice* choice,
+                         int64_t start_ns, int plan_id) {
+  choice->degraded = true;
   if (obs_.tracer != nullptr || obs_.metrics != nullptr) {
     DecisionEvent ev;
     ev.outcome = DecisionOutcome::kDegraded;
-    ev.matched_entry = best_id;
+    ev.matched_entry = plan_id;
     // No lambda claim: audits must not fold this decision into the
     // guaranteed set (lambda stays -1).
     ev.recost_calls = choice->recost_calls_in_get_plan;
@@ -251,18 +242,6 @@ void Scr::ServeDegraded(const WorkloadInstance& wi, EngineContext* engine,
     EmitEvent(ev, wi.id, start_ns,
               obs_.tracer != nullptr ? ObsClock::NowNs() : -1);
   }
-}
-
-void Scr::RegisterOptimization(
-    const WorkloadInstance& wi,
-    std::shared_ptr<const OptimizationResult> result, EngineContext* engine,
-    int get_plan_recosts, int get_plan_candidates) {
-  // The decision event's wall clock covers only the manageCache half here:
-  // the optimizer ran on the caller's critical path (AsyncScr).
-  PlanChoice ignored;
-  ignored.recost_calls_in_get_plan = get_plan_recosts;
-  ignored.cost_check_candidates_in_get_plan = get_plan_candidates;
-  ManageCache(wi, std::move(result), engine, &ignored, /*start_ns=*/-1);
 }
 
 SCRPQO_HOT SCRPQO_NOALLOC SCRPQO_NONBLOCKING SCRPQO_LOCK_BOUNDED()
@@ -563,10 +542,12 @@ void Scr::FillGl(Candidate& c, const SVector& sv) const {
   c.l = gl.l;
 }
 
-void Scr::ManageCache(const WorkloadInstance& wi,
-                      std::shared_ptr<const OptimizationResult> result,
-                      EngineContext* engine, PlanChoice* choice,
-                      int64_t start_ns) {
+void Scr::RegisterOptimization(
+    const WorkloadInstance& wi,
+    std::shared_ptr<const OptimizationResult> result, EngineContext* engine,
+    PlanChoice* choice, int64_t start_ns) {
+  PlanChoice ignored;
+  if (choice == nullptr) choice = &ignored;
   // Covers the store-or-reuse half (including the redundancy check's
   // recosts); stopped before the decision event is emitted so the
   // "manage_cache" stage appears in its breakdown, and its stop stamp

@@ -102,27 +102,34 @@ class Scr : public PqoTechnique {
                               EngineContext* engine, PlanChoice* choice,
                               int64_t* start_ns = nullptr);
 
-  /// manageCache's entry point for an externally-performed optimization
-  /// (Algorithm 2). Thread-compatible: callers serialize access.
-  /// `get_plan_recosts` / `get_plan_candidates` carry the caller's failed
-  /// reuse-attempt stats into the traced decision event.
+  /// manageCache (Algorithm 2) for a fresh optimization. Thread-compatible:
+  /// a structural mutation, so callers serialize it (AsyncScr takes the
+  /// exclusive lock). `choice`, when given, carries the failed reuse
+  /// attempt's recost and candidate counts into the decision event and
+  /// receives the served plan: the store's, which on a redundant discard
+  /// is the already-cached plan. `start_ns` (TryReuse's first stamp; < 0:
+  /// manageCache's own start) opens the event's wall time.
   void RegisterOptimization(const WorkloadInstance& wi,
                             std::shared_ptr<const OptimizationResult> result,
-                            EngineContext* engine, int get_plan_recosts = 0,
-                            int get_plan_candidates = 0);
+                            EngineContext* engine,
+                            PlanChoice* choice = nullptr,
+                            int64_t start_ns = -1);
 
-  /// Failure path of getPlan: the optimizer returned null (failure or
-  /// deadline overrun). Serves the cheapest cached plan by recost — chosen
-  /// WITHOUT the lambda guarantee — or, on an empty cache, retries the
-  /// optimizer with bounded backoff (and runs the normal manageCache when
-  /// a retry succeeds). Emits one kDegraded decision on the fallback path;
-  /// `choice->plan` stays null only when every retry failed on an empty
-  /// cache. Thread-compatible: may mutate the cache structurally, so
-  /// callers serialize it with other structural mutation (AsyncScr takes
-  /// the exclusive lock). `start_ns` is the decision's first clock stamp
-  /// (TryReuse's), used for the event's wall time.
-  void ServeDegraded(const WorkloadInstance& wi, EngineContext* engine,
-                     PlanChoice* choice, int64_t start_ns);
+  /// Degraded getPlan, after the optimizer returned null (failure or
+  /// deadline overrun): serves the cheapest cached plan by recost, WITHOUT
+  /// the lambda guarantee, and records it (RecordDegraded). False, with
+  /// nothing emitted, when no cached plan recosts finite; OnInstance then
+  /// retries the optimizer. Counts its recosts in `choice` either way and
+  /// writes only relaxed counters, so AsyncScr runs it under the shared
+  /// lock. `start_ns` (TryReuse's first stamp) opens the event's wall time.
+  bool TryServeDegraded(const WorkloadInstance& wi, EngineContext* engine,
+                        PlanChoice* choice, int64_t start_ns);
+
+  /// Marks `choice` degraded and emits its kDegraded decision, matched to
+  /// the served plan's store id, or to -1 when every retry failed on a
+  /// cache with nothing to serve. Read-only like TryServeDegraded.
+  void RecordDegraded(const WorkloadInstance& wi, PlanChoice* choice,
+                      int64_t start_ns, int plan_id = -1);
 
   int64_t NumPlansCached() const override { return store_.NumLive(); }
   int64_t PeakPlansCached() const override { return store_.Peak(); }
@@ -272,13 +279,6 @@ class Scr : public PqoTechnique {
   /// Relative area of the entry's selectivity-based inference region
   /// (Section 5.3), used by CostCheckOrder::kDescendingRegionArea.
   double RegionArea(const InstanceEntry& e) const;
-
-  /// `start_ns` (< 0: the manage_cache timer's own start) opens the
-  /// emitted event's wall time.
-  void ManageCache(const WorkloadInstance& wi,
-                   std::shared_ptr<const OptimizationResult> result,
-                   EngineContext* engine, PlanChoice* choice,
-                   int64_t start_ns);
 
   /// Closes a reuse attempt: records scr.get_plan_micros from the
   /// attempt's first to last stage-timer stamp (no-op when unarmed).

@@ -1,10 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <future>
 #include <memory>
 #include <thread>
 #include <vector>
 
+#include "common/fault_injection.h"
 #include "common/rng.h"
 #include "obs/metrics_registry.h"
 #include "pqo/async_scr.h"
@@ -233,6 +236,50 @@ TEST_F(AsyncScrTest, ReadersRaceEvictionCompaction) {
   for (const WorkloadInstance& w : warmed) {
     EXPECT_NE(scr.OnInstance(w, &engine).plan, nullptr);
   }
+}
+
+TEST_F(AsyncScrTest, RetryingMissBlocksNoStatReader) {
+  // An empty cache and one optimizer failure: the miss finds nothing to
+  // fall back on and retries. The retry (held below inside Optimize) and
+  // its backoff run with no lock held, so a stat read on another thread
+  // returns while it is in flight.
+  constexpr auto kTimeout = std::chrono::seconds(2);
+  AsyncScr scr(ScrOptions{.lambda = 2.0});
+  EngineContext engine(&db_, &optimizer_);
+  const WorkloadInstance wi = MakeWi(0, 0.3, 0.3);
+
+  testing::Gate in_retry;
+  testing::Gate release;
+  std::atomic<bool> hold{true};
+  engine.SetOracle([&](const WorkloadInstance& w) {
+    if (hold.exchange(false)) {
+      in_retry.Open();
+      release.Wait();
+    }
+    return std::make_shared<const OptimizationResult>(
+        optimizer_.OptimizeWithSVector(w.instance, w.svector));
+  });
+  FaultRegistry::Global().DisarmAll();
+  FaultRegistry::Global().Arm(faults::kOptimizeFail,
+                              FaultSpec{.trigger = FaultTrigger::kOneShot});
+  auto missing = std::async(std::launch::async,
+                            [&] { return scr.OnInstance(wi, &engine); });
+  EXPECT_TRUE(in_retry.WaitFor(kTimeout))
+      << "the retry never reached the optimizer";
+  auto plans = std::async(std::launch::async,
+                          [&] { return scr.NumPlansCached(); });
+  EXPECT_TRUE(plans.wait_for(kTimeout) == std::future_status::ready)
+      << "NumPlansCached waited behind the optimizer retry";
+  release.Open();
+  FaultRegistry::Global().DisarmAll();
+
+  EXPECT_EQ(plans.get(), 0);
+  const PlanChoice c = missing.get();
+  EXPECT_TRUE(c.optimized);
+  EXPECT_FALSE(c.degraded) << "a successful retry keeps the guarantee";
+  ASSERT_NE(c.plan, nullptr);
+  scr.Flush();
+  EXPECT_EQ(scr.NumPlansCached(), 1);
 }
 
 TEST_F(AsyncScrTest, NameReflectsWrapper) {

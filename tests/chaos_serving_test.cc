@@ -31,9 +31,9 @@
 #include "pqo/async_scr.h"
 #include "pqo/cache_persistence.h"
 #include "query/query_instance.h"
+#include "tests/multi_template.h"
 #include "tests/test_util.h"
 #include "verify/guarantee_audit.h"
-#include "workload/multi_template.h"
 
 namespace scrpqo {
 namespace {

@@ -9,6 +9,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <future>
 #include <set>
 #include <string>
 #include <thread>
@@ -17,11 +19,78 @@
 #include "obs/metrics_registry.h"
 #include "obs/ring_tracer.h"
 #include "obs/trace.h"
+#include "tests/multi_template.h"
+#include "tests/test_util.h"
 #include "verify/guarantee_audit.h"
-#include "workload/multi_template.h"
 
 namespace scrpqo {
 namespace {
+
+using testing::Gate;
+
+TEST(PqoManagerConcurrentTest, MissInOptimizeBlocksNeitherHitsNorLambdaFor) {
+  // Default options: inline manageCache and no warm-up. A miss held inside
+  // Optimize must not stall a hit on the same template or a LambdaFor
+  // read: the optimizer runs with no template or cache lock held.
+  constexpr auto kTimeout = std::chrono::seconds(2);
+  TemplateFleet fleet(1, 16);
+  const ServedTemplate& st = fleet.served()[0];
+  const std::vector<WorkloadInstance>& instances = *st.instances;
+  PqoManager mgr(PqoManagerOptions{});
+  const WorkloadInstance& cached = instances[0];
+  ASSERT_TRUE(mgr.OnInstance(st.key, cached, st.engine).optimized);
+
+  // An instance the one-plan cache misses: a standalone Scr holding the
+  // same single optimization decides exactly as the template's cache.
+  Scr probe(ScrOptions{.lambda = PqoManagerOptions{}.default_lambda});
+  (void)probe.OnInstance(cached, st.engine);
+  const WorkloadInstance* miss = nullptr;
+  for (const WorkloadInstance& wi : instances) {
+    PlanChoice c;
+    if (!probe.TryReuse(wi, st.engine, &c)) {
+      miss = &wi;
+      break;
+    }
+  }
+  ASSERT_NE(miss, nullptr) << "every fleet instance hits the cached plan";
+
+  Gate in_optimize;
+  Gate release;
+  std::atomic<bool> hold{true};
+  EngineContext* engine = st.engine;
+  engine->SetOracle([&](const WorkloadInstance& wi) {
+    if (wi.id == miss->id && hold.exchange(false)) {
+      in_optimize.Open();
+      release.Wait();
+    }
+    return std::make_shared<const OptimizationResult>(
+        engine->optimizer().OptimizeWithSVector(wi.instance, wi.svector));
+  });
+  auto missing = std::async(std::launch::async, [&] {
+    return mgr.OnInstance(st.key, *miss, engine);
+  });
+  EXPECT_TRUE(in_optimize.WaitFor(kTimeout))
+      << "the miss never reached Optimize";
+  auto hit = std::async(std::launch::async, [&] {
+    return mgr.OnInstance(st.key, cached, engine);
+  });
+  auto lambda = std::async(std::launch::async,
+                           [&] { return mgr.LambdaFor(st.key); });
+  EXPECT_TRUE(hit.wait_for(kTimeout) == std::future_status::ready)
+      << "a hit waited behind another thread's optimizer call";
+  EXPECT_TRUE(lambda.wait_for(kTimeout) == std::future_status::ready)
+      << "LambdaFor waited behind another thread's optimizer call";
+  release.Open();
+
+  const PlanChoice hit_choice = hit.get();
+  EXPECT_FALSE(hit_choice.optimized);
+  EXPECT_NE(hit_choice.plan, nullptr);
+  EXPECT_EQ(lambda.get(), PqoManagerOptions{}.default_lambda);
+  const PlanChoice miss_choice = missing.get();
+  EXPECT_TRUE(miss_choice.optimized);
+  EXPECT_NE(miss_choice.plan, nullptr);
+  engine->SetOracle(nullptr);
+}
 
 TEST(PqoManagerConcurrentTest, StressNoLostInstancesAndBudgetHolds) {
   constexpr int kTemplates = 16;

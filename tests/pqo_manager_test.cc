@@ -3,11 +3,15 @@
 #include <cmath>
 #include <limits>
 #include <memory>
+#include <utility>
+#include <vector>
 
+#include "common/fault_injection.h"
 #include "common/rng.h"
 #include "obs/ring_tracer.h"
 #include "pqo/pqo_manager.h"
 #include "query/query_instance.h"
+#include "tests/multi_template.h"
 #include "tests/test_util.h"
 
 namespace scrpqo {
@@ -299,6 +303,116 @@ TEST_F(PqoManagerTest, StatuszJsonEscapesTemplateKeys) {
   std::string json = mgr.StatuszJson();
   EXPECT_NE(json.find("select \\\"x\\\"\\nfrom t"), std::string::npos);
   EXPECT_EQ(json.find('\n'), json.size() - 1);  // only the trailing one
+}
+
+/// What a decision served, for comparing two caches' streams.
+struct Served {
+  bool optimized = false;
+  bool degraded = false;
+  uint64_t signature = 0;  // 0: no plan
+
+  bool operator==(const Served&) const = default;
+};
+
+Served ServedBy(const PlanChoice& c) {
+  return Served{c.optimized, c.degraded,
+                c.plan != nullptr ? c.plan->signature : 0};
+}
+
+/// Every field but the template stamp and the timings.
+void ExpectSameDecision(const DecisionEvent& a, const DecisionEvent& b) {
+  EXPECT_EQ(a.seq, b.seq);
+  EXPECT_EQ(a.instance_id, b.instance_id);
+  EXPECT_EQ(a.technique, b.technique);
+  EXPECT_EQ(a.outcome, b.outcome);
+  EXPECT_EQ(a.matched_entry, b.matched_entry);
+  EXPECT_EQ(a.g, b.g);
+  EXPECT_EQ(a.l, b.l);
+  EXPECT_EQ(a.r, b.r);
+  EXPECT_EQ(a.subopt, b.subopt);
+  EXPECT_EQ(a.lambda, b.lambda);
+  EXPECT_EQ(a.candidates_scanned, b.candidates_scanned);
+  EXPECT_EQ(a.recost_calls, b.recost_calls);
+  EXPECT_EQ(a.dropped, b.dropped);
+}
+
+TEST(PqoManagerInlineTest, DecidesLikeStandaloneScr) {
+  // use_async = false runs manageCache inline under the cache's exclusive
+  // lock. With one client it must decide, serve and trace exactly as one
+  // standalone Scr per template: the same events and the same served
+  // plans. A 3-plan budget evicts, the default lambda_r discards redundant
+  // plans, and every 7th optimizer call fails (re-armed for each side, so
+  // both see the same failures), which exercises the degraded fallback
+  // and the retries.
+  constexpr int kTemplates = 3;
+  constexpr int kInstances = 60;
+  constexpr int kDecisions = 600;
+  PqoManagerOptions opts;
+  opts.plan_budget = 3;
+  TemplateFleet fleet(kTemplates, kInstances, /*seed=*/7, {2, 3, 4});
+  const std::vector<ServedTemplate>& served = fleet.served();
+  std::vector<std::pair<size_t, size_t>> stream;  // (template, instance)
+  Pcg32 rng(17);
+  for (int i = 0; i < kDecisions; ++i) {
+    stream.emplace_back(
+        static_cast<size_t>(rng.UniformInt(0, kTemplates - 1)),
+        static_cast<size_t>(rng.UniformInt(0, kInstances - 1)));
+  }
+  const auto arm_failures = [] {
+    FaultRegistry::Global().DisarmAll();
+    FaultRegistry::Global().Arm(
+        faults::kOptimizeFail,
+        FaultSpec{.trigger = FaultTrigger::kEveryNth, .nth = 7});
+  };
+
+  arm_failures();
+  PqoManager mgr(opts);
+  RingTracer mgr_tracer(1 << 14);
+  mgr.SetObs(ObsHooks{&mgr_tracer, nullptr});
+  std::vector<Served> via_manager;
+  for (const auto& [t, i] : stream) {
+    const ServedTemplate& st = served[t];
+    via_manager.push_back(
+        ServedBy(mgr.OnInstance(st.key, (*st.instances)[i], st.engine)));
+  }
+
+  arm_failures();
+  RingTracer scr_tracer(1 << 14);
+  std::vector<std::unique_ptr<Scr>> scrs;
+  for (int t = 0; t < kTemplates; ++t) {
+    scrs.push_back(std::make_unique<Scr>(ScrOptions{
+        .lambda = opts.default_lambda, .plan_budget = opts.plan_budget}));
+    scrs.back()->SetObs(ObsHooks{&scr_tracer, nullptr});
+  }
+  std::vector<Served> via_scr;
+  for (const auto& [t, i] : stream) {
+    const ServedTemplate& st = served[t];
+    via_scr.push_back(
+        ServedBy(scrs[t]->OnInstance((*st.instances)[i], st.engine)));
+  }
+  FaultRegistry::Global().DisarmAll();
+
+  ASSERT_EQ(via_manager.size(), via_scr.size());
+  for (size_t d = 0; d < via_scr.size(); ++d) {
+    EXPECT_EQ(via_manager[d], via_scr[d]) << "decision " << d;
+  }
+  const std::vector<DecisionEvent> a = mgr_tracer.Snapshot();
+  const std::vector<DecisionEvent> b = scr_tracer.Snapshot();
+  ASSERT_EQ(a.size(), b.size());
+  for (size_t e = 0; e < a.size(); ++e) {
+    SCOPED_TRACE(e);
+    ExpectSameDecision(a[e], b[e]);
+  }
+  // The stream exercised what the comparison is for.
+  const auto count = [&](DecisionOutcome outcome) {
+    int64_t n = 0;
+    for (const DecisionEvent& e : b) n += e.outcome == outcome ? 1 : 0;
+    return n;
+  };
+  EXPECT_GT(count(DecisionOutcome::kRedundantDiscard), 0);
+  EXPECT_GT(count(DecisionOutcome::kEvicted), 0);
+  EXPECT_GT(count(DecisionOutcome::kDegraded), 0);
+  EXPECT_GT(count(DecisionOutcome::kCostCheckHit), 0);
 }
 
 }  // namespace

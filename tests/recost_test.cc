@@ -484,11 +484,12 @@ TEST(ScrZeroAllocTest, WarmedMissesOverALargeTableAllocateNothing) {
   EXPECT_EQ(full_scans, 20 * static_cast<int>(probes.size()));
 }
 
-/// A PqoManager over AsyncScr with production observability, warmed on
-/// the workload, plus the probes that it serves as hits.
+/// A PqoManager with production observability, warmed on the workload,
+/// plus the probes that it serves as hits. `use_async` picks deferred or
+/// inline manageCache.
 struct RoutedTracedServing {
-  explicit RoutedTracedServing(const ReuseWorkload& w)
-      : engine(&w.db, &w.optimizer), manager(Options()) {
+  explicit RoutedTracedServing(const ReuseWorkload& w, bool use_async = true)
+      : engine(&w.db, &w.optimizer), manager(Options(use_async)) {
     engine.SetObs(&registry);
     manager.SetObs(ObsHooks{&tracer, &registry});
     for (const WorkloadInstance& wi : w.Warm()) {
@@ -507,9 +508,9 @@ struct RoutedTracedServing {
     }
   }
 
-  static PqoManagerOptions Options() {
+  static PqoManagerOptions Options(bool use_async) {
     PqoManagerOptions opts;
-    opts.use_async = true;
+    opts.use_async = use_async;
     opts.default_lambda = 2.0;
     opts.num_shards = 2;
     return opts;
@@ -525,20 +526,24 @@ struct RoutedTracedServing {
 
 TEST(ScrZeroAllocTest, TracedRoutedPathAllocatesNothing) {
   // The routed product decision — template lookup, AsyncScr's shared
-  // lock, the checks and the emit — with a tracer and metrics attached.
+  // lock, the checks and the emit — with a tracer and metrics attached,
+  // under inline and deferred manageCache.
   ReuseWorkload w;
-  RoutedTracedServing serving(w);
-  ASSERT_FALSE(serving.hits.empty());
-  const int64_t allocs_before = t_heap_allocs;
-  for (int rep = 0; rep < 20; ++rep) {
-    for (const WorkloadInstance& wi : serving.hits) {
-      PlanChoice c = serving.manager.OnInstance(serving.key, wi,
-                                                &serving.engine);
-      EXPECT_FALSE(c.optimized);
+  for (const bool use_async : {false, true}) {
+    SCOPED_TRACE(use_async ? "deferred manageCache" : "inline manageCache");
+    RoutedTracedServing serving(w, use_async);
+    ASSERT_FALSE(serving.hits.empty());
+    const int64_t allocs_before = t_heap_allocs;
+    for (int rep = 0; rep < 20; ++rep) {
+      for (const WorkloadInstance& wi : serving.hits) {
+        PlanChoice c = serving.manager.OnInstance(serving.key, wi,
+                                                  &serving.engine);
+        EXPECT_FALSE(c.optimized);
+      }
     }
+    EXPECT_EQ(t_heap_allocs, allocs_before)
+        << "traced routed hits hit the heap on the serving thread";
   }
-  EXPECT_EQ(t_heap_allocs, allocs_before)
-      << "traced routed hits hit the heap on the serving thread";
 }
 
 TEST(TracedDecisionClockTest, RoutedHitsReuseStageStamps) {

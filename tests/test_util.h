@@ -3,7 +3,10 @@
 // templates/instances quickly.
 #pragma once
 
+#include <chrono>
+#include <future>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -109,5 +112,25 @@ inline std::shared_ptr<QueryTemplate> MakeScanTemplate() {
   SCRPQO_CHECK(tmpl->AddPredicate(std::move(p0)).ok(), "pred0");
   return tmpl;
 }
+
+/// A one-shot gate between test threads: Wait blocks until Open. Open is
+/// idempotent and the destructor opens, so a failed expectation never
+/// leaves a waiter hung.
+class Gate {
+ public:
+  ~Gate() { Open(); }
+  void Open() {
+    std::call_once(once_, [this] { promise_.set_value(); });
+  }
+  void Wait() const { future_.wait(); }
+  bool WaitFor(std::chrono::milliseconds timeout) const {
+    return future_.wait_for(timeout) == std::future_status::ready;
+  }
+
+ private:
+  std::promise<void> promise_;
+  std::shared_future<void> future_ = promise_.get_future().share();
+  std::once_flag once_;
+};
 
 }  // namespace scrpqo::testing

@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Static analyzer for the scrpqo tree: lexical rules, effect contracts.
 
-Lexical rules check each line of the files in their path scope:
+Path-scoped rules check each line of the files in their path scope
+(blocking-under-lock also follows the calls made on those lines):
 
   atomic-order               src/pqo/, src/obs/: every std::atomic
                              load/store/exchange/fetch_*/CAS names an
@@ -12,7 +13,13 @@ Lexical rules check each line of the files in their path scope:
   blocking-under-lock        src/pqo/: no engine Optimize, sink
                              Consume/Flush, stream/file I/O, sleep or
                              thread join while a Mutex/SharedMutex scope is
-                             active. A template or shard lock held across an
+                             active, and no condition-variable wait on a
+                             mutex other than the held ones. A call made in
+                             such a scope is a finding when its callee
+                             reaches a `block` effect or
+                             EngineContext::Optimize over the call graph
+                             (reported with a shortest-chain witness). A
+                             template or shard lock held across an
                              optimizer call serializes that template.
   tracer-record-outside-obs  src/ outside src/obs/: RingTracer::Record is
                              called only through EmitDecisionEvent
@@ -59,10 +66,11 @@ Self-test: the fixtures under testdata/ mark each seeded violation with
 `// effects-expect(<rule>)`; a fixture path under testdata/src/<dir>/ is
 checked as if it sat in src/<dir>/. `--self-test` requires exactly the
 expected findings, one seeded violation and one silent sanctioned allow
-per rule, and a configuration error for a missing compilation database.
+per rule, a configuration error for a missing compilation database, and
+that `-p` reads a build directory's compile_commands.json.
 
 Usage:
-  scrpqo_effects.py --root <repo> [-p build/compile_commands.json]
+  scrpqo_effects.py --root <repo> [-p <build dir | compile_commands.json>]
                     [--json out.json]
   scrpqo_effects.py --self-test
 Exit status: 0 = clean, 1 = findings, 2 = usage/config error.
@@ -75,6 +83,7 @@ import json
 import os
 import re
 import sys
+import tempfile
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -368,7 +377,11 @@ def load_file(path: str, root: str) -> SourceFile:
 
 
 def load_compile_db(path: str) -> list[dict]:
-    if not os.path.exists(path):
+    """The compilation database at `path`, or in it when `path` is a build
+    directory (the clang tools' `-p` convention)."""
+    if os.path.isdir(path):
+        path = os.path.join(path, "compile_commands.json")
+    if not os.path.isfile(path):
         raise ConfigError(f"compilation database not found: {path}")
     with open(path, encoding="utf-8") as f:
         try:
@@ -462,9 +475,11 @@ def check_atomic_order(src: SourceFile):
                 "say the order or use RelaxedCounter)")
 
 
-# Scope-guard declarations: `MutexLock l(mu);` and friends.
+# Scope-guard declarations: `MutexLock l(mu);` and friends; group 2 is the
+# argument list, whose last identifier names the capability.
 GUARD_DECL_RE = re.compile(
-    r"\b(MutexLock|ReaderMutexLock|WriterMutexLock|ShardLock)\s+\w+\s*\(")
+    r"\b(MutexLock|ReaderMutexLock|WriterMutexLock|ShardLock)\s+\w+\s*"
+    r"\(([^;]*)")
 MANUAL_LOCK_RE = re.compile(
     r"\b([\w.\->]+?)\s*(?:\.|->)\s*Lock(?:Shared)?\s*\(\s*\)")
 MANUAL_UNLOCK_RE = re.compile(
@@ -477,10 +492,23 @@ BLOCKING_CALL_RE = re.compile(
     r"\b(printf|fprintf|fwrite|fread|fputs)\s*\("
     r")"
 )
+# A condition-variable wait; group 1 is the mutex it waits on.
+CONDVAR_WAIT_RE = re.compile(
+    r"(?:\.|->)\s*(?:Wait|WaitFor)\s*\(\s*(?:[\w.]+(?:\.|->))?(\w+)\s*[,)]")
 NAMESPACE_LINE_RE = re.compile(r"\s*(?:inline\s+)?namespace\b")
+# The call the blocking-under-lock rule looks for behind every call made
+# under a lock, besides `block` effects.
+OPTIMIZER_CALL = ("EngineContext", "Optimize")
 
 
-def check_blocking_under_lock(src: SourceFile):
+def _last_ident(text: str) -> str:
+    idents = re.findall(r"[A-Za-z_]\w*", text)
+    return idents[-1] if idents else ""
+
+
+def lock_scopes(src: SourceFile) -> dict[int, set[str]]:
+    """1-based line -> the capabilities held there, for every line inside
+    a lock scope (a guard's own line excluded)."""
     # Track lock scopes with a brace stack. Each entry records whether the
     # brace opened a namespace scope: when only namespace braces remain
     # open we are between functions, which resets the manual Lock()/
@@ -488,26 +516,23 @@ def check_blocking_under_lock(src: SourceFile):
     # ShardLock, must not poison the rest of the file). A guard declared
     # at stack depth d is active until a `}` takes the stack below d — a
     # nested sub-scope closing back TO d keeps the lock held.
+    held: dict[int, set[str]] = {}
     brace_stack: list[bool] = []  # True = namespace brace
-    guard_depths: list[int] = []
+    guards: list[tuple[int, str]] = []  # (depth, capability)
     manual_locks: list[str] = []
     for idx, line in enumerate(src.code_lines):
-        line_had_guard = bool(GUARD_DECL_RE.search(line))
-        if line_had_guard:
-            guard_depths.append(len(brace_stack))
+        gm = GUARD_DECL_RE.search(line)
+        if (guards or manual_locks) and not gm:
+            held[idx + 1] = {cap for _, cap in guards} | \
+                {_last_ident(m) for m in manual_locks}
+        if gm:
+            guards.append((len(brace_stack), _last_ident(gm.group(2))))
         for m in MANUAL_LOCK_RE.finditer(line):
             manual_locks.append(m.group(1))
         for m in MANUAL_UNLOCK_RE.finditer(line):
             if m.group(1) in manual_locks:
                 manual_locks.remove(m.group(1))
-        if (guard_depths or manual_locks) and not line_had_guard:
-            bm = BLOCKING_CALL_RE.search(line)
-            if bm:
-                what = next(g for g in bm.groups() if g)
-                yield idx + 1, (
-                    f"blocking call `{what}` while a lock scope is active "
-                    "(move the call outside the critical section)")
-        # Apply brace deltas after the check so a guard's own line counts
+        # Apply brace deltas after the line so a guard's own line counts
         # as inside its scope only from the next line on. Only the first
         # `{` of a `namespace ... {` line is the namespace brace.
         ns_brace_pending = bool(NAMESPACE_LINE_RE.match(line))
@@ -518,11 +543,104 @@ def check_blocking_under_lock(src: SourceFile):
             elif ch == "}":
                 if brace_stack:
                     brace_stack.pop()
-                while guard_depths and len(brace_stack) < guard_depths[-1]:
-                    guard_depths.pop()
+                while guards and len(brace_stack) < guards[-1][0]:
+                    guards.pop()
         if all(brace_stack):  # only namespace scopes (or nothing) open
             manual_locks.clear()
-            guard_depths.clear()
+            guards.clear()
+    return held
+
+
+def check_blocking_under_lock(model: Model, src: SourceFile):
+    """Yields (line, message, witness) for each blocking call made while a
+    lock scope is active: a direct pattern (the zero-depth case), a
+    condition-variable wait on a mutex other than the ones held, or a call
+    whose callee reaches a `block` effect or EngineContext::Optimize over
+    resolved edges (with a shortest-chain witness)."""
+    held = lock_scopes(src)
+    for line, caps in sorted(held.items()):
+        code = src.code_lines[line - 1]
+        bm = BLOCKING_CALL_RE.search(code)
+        if bm:
+            what = next(g for g in bm.groups() if g)
+            yield line, (
+                f"blocking call `{what}` while a lock scope is active "
+                "(move the call outside the critical section)"), []
+            continue
+        wm = CONDVAR_WAIT_RE.search(code)
+        if wm and wm.group(1) not in caps:
+            yield line, (
+                f"condition-variable wait on `{wm.group(1)}` while holding "
+                f"{', '.join(sorted(caps))} (the wait releases only its own "
+                "mutex)"), []
+    reported: set[int] = set()
+    for f in model.funcs:
+        if f.rel != src.rel:
+            continue
+        for callee_fid, line in f.edges:
+            if line not in held or line in reported:
+                continue
+            hit = _blocking_reach(model, callee_fid, line)
+            if hit is None:
+                continue
+            reported.add(line)
+            chain, what, where = hit
+            witness = [f"{f.qname} ({f.rel}:{f.sig_line})"]
+            prev = f
+            for fid, call_line in chain:
+                witness.append(f"-> {model.funcs[fid].qname} (called at "
+                               f"{prev.rel}:{call_line})")
+                prev = model.funcs[fid]
+            if where:
+                witness.append(f"-> effect at {where}: {what}")
+            yield line, (
+                f"call to `{model.funcs[chain[0][0]].qname}` while a lock "
+                f"scope is active reaches `{prev.qname}`: {what} (move the "
+                "call outside the critical section)"), witness
+
+
+def _blocking_reach(model: Model, start: int, line: int):
+    """Breadth-first from `start`, called at `line`: the shortest chain
+    [(fid, call line)] to EngineContext::Optimize or to a function with a
+    `block` effect, what it does and where (empty for the optimizer call);
+    None when neither is reachable. Traverses like the SCRPQO_NONBLOCKING
+    contract: `block` allows hide what they cover, abort paths don't
+    count."""
+    if _fn_allowed(model, model.funcs[start], "block"):
+        return None
+    parent: dict[int, int | None] = {start: None}
+    call_line = {start: line}
+    q: deque[int] = deque([start])
+    while q:
+        fid = q.popleft()
+        f = model.funcs[fid]
+        found = None
+        if (f.cls, f.name) == OPTIMIZER_CALL:
+            found = ("the optimizer call", "")
+        else:
+            for eff in f.effects:
+                if eff.rule == "block" and \
+                        not _line_allowed(model, f.rel, eff.line, "block"):
+                    found = (eff.detail, f"{f.rel}:{eff.line}")
+                    break
+        if found is not None:
+            chain = []
+            cur: int | None = fid
+            while cur is not None:
+                chain.append((cur, call_line[cur]))
+                cur = parent[cur]
+            chain.reverse()
+            return chain, found[0], found[1]
+        for callee_fid, call in f.edges:
+            callee = model.funcs[callee_fid]
+            if callee_fid in parent or callee.noreturn or \
+                    _fn_allowed(model, callee, "block") or \
+                    _line_allowed(model, f.rel, call, "block"):
+                continue
+            parent[callee_fid] = fid
+            call_line[callee_fid] = call
+            q.append(callee_fid)
+    return None
 
 
 RECORD_CALL_RE = re.compile(
@@ -575,14 +693,18 @@ def check_raw_mutex(src: SourceFile):
 # rule -> (path prefixes it checks, prefixes exempt from it, check)
 LEXICAL_RULES = {
     "atomic-order": (("src/pqo/", "src/obs/"), (), check_atomic_order),
-    "blocking-under-lock": (("src/pqo/",), (), check_blocking_under_lock),
     "tracer-record-outside-obs": (("src/",), ("src/obs/",),
                                   check_tracer_record),
     "nodiscard-status": (("src/common/",), (), check_nodiscard_status),
     "raw-mutex": (("src/",), ("src/common/thread_annotations.h",),
                   check_raw_mutex),
 }
-ALL_RULES = RULES + tuple(LEXICAL_RULES)
+# Scoped like the lexical rules, but the check also reads the call graph
+# and yields a witness chain with each finding.
+CALL_RULES = {
+    "blocking-under-lock": (("src/pqo/",), (), check_blocking_under_lock),
+}
+ALL_RULES = RULES + tuple(LEXICAL_RULES) + tuple(CALL_RULES)
 
 
 # ---------------------------------------------------------------------------
@@ -847,9 +969,11 @@ LOCAL_CTOR_RE = re.compile(
 
 
 def normalize_type(t: str) -> str:
+    """The class a declared type names for member-call resolution: owning
+    and optional wrappers are seen through, `std::atomic<T*>` is not (its
+    load/store/fetch_add are std calls, not calls on the pointee)."""
     t = t.strip()
-    for wrapper in ("std::unique_ptr", "std::shared_ptr", "std::optional",
-                    "std::atomic"):
+    for wrapper in ("std::unique_ptr", "std::shared_ptr", "std::optional"):
         if t.startswith(wrapper + "<"):
             t = t[len(wrapper) + 1:].rstrip(">").strip()
     t = t.replace("const ", "").strip(" *&")
@@ -1002,9 +1126,16 @@ def scan_file(model: Model, src: SourceFile,
                 for j in range(stmt, i):
                     if toks[j].txt == kw:
                         jj = j + 1
-                        while jj < i and (ALLCAPS_RE.match(toks[jj].txt) or
-                                          toks[jj].txt == "final"):
-                            jj += 1
+                        while jj < i:
+                            if ALLCAPS_RE.match(toks[jj].txt) or \
+                                    toks[jj].txt == "final":
+                                jj += 1
+                            elif toks[jj].txt == "[" and jj + 1 < i and \
+                                    toks[jj + 1].txt == "[":
+                                # An attribute group: `class [[nodiscard]] X`.
+                                jj = _match_fwd(toks, jj, "[", "]") + 1
+                            else:
+                                break
                         if jj < i and re.match(r"[A-Za-z_]\w*$", toks[jj].txt):
                             nm = toks[jj].txt
                         break
@@ -1405,6 +1536,14 @@ def verify(model: Model) -> list[Finding]:
                 if not _line_allowed(model, src.rel, line, rule,
                                      whole_function=True):
                     findings.append(Finding(rule, src.rel, line, msg))
+        for rule, (scope, exempt, call_check) in CALL_RULES.items():
+            if not src.rel.startswith(scope) or src.rel.startswith(exempt):
+                continue
+            for line, msg, witness in call_check(model, src):
+                if not _line_allowed(model, src.rel, line, rule,
+                                     whole_function=True):
+                    findings.append(Finding(rule, src.rel, line, msg,
+                                            witness=witness))
 
     for root in model.funcs:
         for rule in RULES:
@@ -1529,7 +1668,8 @@ def parse_design_dag(root: str) -> set[tuple[str, str]]:
         text = fh.read()
     m = re.search(r"\*\*Lock-order DAG\*\*.*?```(.*?)```", text, re.S)
     if not m:
-        return edges
+        # Without the fence the order check would pass on no edges at all.
+        raise ConfigError(f"{path} has no **Lock-order DAG** code fence")
     for line in m.group(1).splitlines():
         if "∦" in line or "(" in line or "→" not in line:
             continue
@@ -1701,6 +1841,27 @@ def run_self_test(fixture_root: str) -> int:
         ok = False
     except ConfigError:
         pass
+    # `-p <build dir>` (the clang tools' convention) reads the directory's
+    # compile_commands.json; a directory without one is a configuration
+    # error as well.
+    with tempfile.TemporaryDirectory() as build_dir:
+        try:
+            load_compile_db(build_dir)
+            print("SELF-TEST MISS: a build directory without a compilation "
+                  "database was accepted")
+            ok = False
+        except ConfigError:
+            pass
+        with open(os.path.join(build_dir, "compile_commands.json"), "w",
+                  encoding="utf-8") as fh:
+            json.dump([{"directory": build_dir, "file": "a.cc"}], fh)
+        try:
+            if len(load_compile_db(build_dir)) != 1:
+                raise ConfigError("wrong entry count")
+        except ConfigError as exc:
+            print(f"SELF-TEST MISS: -p <build dir> did not read its "
+                  f"compile_commands.json ({exc})")
+            ok = False
 
     print(f"self-test: {len(files)} fixtures, {len(model.funcs)} functions, "
           f"{len(findings)} findings, {len(expected)} expected, "
@@ -1713,8 +1874,8 @@ def main(argv: list[str]) -> int:
     ap.add_argument("--root", default=".",
                     help="repository root (default: cwd)")
     ap.add_argument("-p", dest="compile_db", default=None,
-                    help="the build's compile_commands.json: its TUs under "
-                         "src/ are the file set")
+                    help="the build directory or its compile_commands.json: "
+                         "its TUs under src/ are the file set")
     ap.add_argument("--json", default=None,
                     help="write findings, stats and allows here")
     ap.add_argument("--self-test", action="store_true",
