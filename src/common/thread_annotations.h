@@ -116,9 +116,9 @@ namespace scrpqo {
 
 class CondVar;
 
-/// Annotated exclusive mutex. Prefer the scoped MutexLock; use explicit
-/// Lock()/Unlock() only for hand-over-hand patterns (worker loops that
-/// drop the lock around the work item).
+/// Annotated exclusive mutex. Hold it with the scoped MutexLock: a manual
+/// Lock()/Unlock() outside this header is a raw-mutex finding
+/// (tools/analyze), because blocking-under-lock follows guards only.
 class CAPABILITY("mutex") Mutex {
  public:
   Mutex() = default;

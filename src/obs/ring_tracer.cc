@@ -149,21 +149,19 @@ void RingTracer::DrainLocked() {
 }
 
 void RingTracer::ExporterLoop() {
-  // Hand-over-hand on stop_mu_: held only across the stop check and the
-  // timed wait, dropped for the drain so ~RingTracer's stop request never
-  // waits behind an in-flight drain round.
-  stop_mu_.Lock();
-  while (!stopping_) {
-    stop_cv_.WaitFor(
-        stop_mu_, std::chrono::microseconds(options_.drain_interval_micros));
-    stop_mu_.Unlock();
+  // stop_mu_ is held only across the stop check and the timed wait, and
+  // released for the drain so ~RingTracer's stop request never waits
+  // behind an in-flight drain round.
+  for (;;) {
     {
-      MutexLock lock(export_mu_);
-      DrainLocked();
+      MutexLock lock(stop_mu_);
+      if (stopping_) return;
+      stop_cv_.WaitFor(
+          stop_mu_, std::chrono::microseconds(options_.drain_interval_micros));
     }
-    stop_mu_.Lock();
+    MutexLock lock(export_mu_);
+    DrainLocked();
   }
-  stop_mu_.Unlock();
 }
 
 int64_t RingTracer::total_recorded() const {

@@ -1,7 +1,5 @@
 #include "obs/span.h"
 
-#include <string>
-
 namespace scrpqo {
 
 namespace {
@@ -14,16 +12,6 @@ const char* StageName(Stage stage) {
   int i = static_cast<int>(stage);
   if (i < 0 || i >= kNumStages) return "unknown";
   return kStageNames[i];
-}
-
-StageHistograms StageHistograms::FromRegistry(MetricsRegistry* metrics) {
-  StageHistograms out;
-  if (metrics == nullptr) return out;
-  for (int i = 0; i < kNumStages; ++i) {
-    out.h[i] = metrics->histogram(
-        std::string("stage.") + kStageNames[i] + "_micros");
-  }
-  return out;
 }
 
 }  // namespace scrpqo

@@ -1,8 +1,8 @@
 // Stage-span attribution for getPlan: a GetPlanSpan opens an ambient
 // per-thread StageBreakdown for the in-flight decision, StageTimers add
 // elapsed nanoseconds to one stage slot (and, when given one, microseconds
-// to a per-stage LogHistogram), and the technique's EmitEvent copies the
-// ambient breakdown onto the DecisionEvent it records. The disabled path
+// to a LogHistogram), and the technique's EmitEvent copies the ambient
+// breakdown onto the DecisionEvent it records. The disabled path
 // (no span open, no histogram attached) costs one thread-local read and a
 // null check — no clock read.
 //
@@ -12,10 +12,11 @@
 // (Scr times a whole reuse attempt from its stage timers' stamps).
 //
 // Stage taxonomy (the phases a PqoManager-routed getPlan passes through):
-//   shard_wait    PqoManager shard-lock acquisition wait
+//   shard_wait    unused since the shard-lock wait stopped being timed
+//                 (kept so the wire format and stage indices stay stable)
 //   svector       selectivity-vector computation (harness/engine side)
 //   index_probe   unused since the instance table became a flat scan
-//                 (kept so the wire format and stage indices stay stable)
+//                 (kept for the same reason)
 //   sel_check     instance-list selectivity-check scan
 //   recost        scalar Recost calls (tree walks, one-off programs)
 //   optimize      full optimizer call on a miss
@@ -75,9 +76,8 @@ enum class Stage : int {
 };
 inline constexpr int kNumStages = 8;
 
-/// Stable wire name ("shard_wait", "svector", ...), used both as the JSONL
-/// sub-key of the event's "stages" object and as the metric-name fragment
-/// of the per-stage histograms ("stage.<name>_micros").
+/// Stable wire name ("shard_wait", "svector", ...): the JSONL sub-key of
+/// the event's "stages" object.
 const char* StageName(Stage stage);
 
 /// Per-decision stage latency breakdown in nanoseconds; -1 marks a stage
@@ -204,22 +204,6 @@ class StageTimer {
   LogHistogram* histogram_;
   StageBreakdown* breakdown_;
   int64_t start_ns_ = -1;
-};
-
-/// Cached per-stage histogram pointers ("stage.<name>_micros"), resolved
-/// once at SetObs time so hot paths never do a string-keyed lookup.
-struct StageHistograms {
-  LogHistogram* h[kNumStages] = {};
-
-  static StageHistograms FromRegistry(MetricsRegistry* metrics);
-
-  LogHistogram* operator[](Stage stage) const {
-    return h[static_cast<int>(stage)];
-  }
-
-  void Reset() {
-    for (LogHistogram*& hist : h) hist = nullptr;
-  }
 };
 
 }  // namespace scrpqo

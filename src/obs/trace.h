@@ -80,8 +80,8 @@ struct DecisionEvent {
   DecisionOutcome outcome = DecisionOutcome::kOptimized;
   /// Cache-entry id that matched (for SCR check hits, the entry's position
   /// in the instance table at decision time: evictions compact the table,
-  /// so later entries' positions shift down; plan id for
-  /// optimized/discard/evict events); -1 when n/a.
+  /// so later entries' positions shift down; for optimized/discard/evict/
+  /// degraded events, the plan's storage-order id label); -1 when n/a.
   int32_t matched_entry = -1;
   /// Selectivity-check factors at the matched entry (-1 when n/a).
   double g = -1.0;

@@ -27,23 +27,23 @@ AsyncScr::~AsyncScr() {
 }
 
 void AsyncScr::WorkerLoop() {
-  // Hand-over-hand on the queue lock: held while popping bookkeeping,
-  // dropped around the cache update so producers can keep enqueueing.
-  queue_mu_.Lock();
+  // The queue lock is held while popping and while recording the task
+  // done, and released around the cache update so producers can keep
+  // enqueueing.
   for (;;) {
-    while (!shutting_down_ && queue_.empty()) {
-      work_available_.Wait(queue_mu_);
-    }
-    if (queue_.empty()) {
+    Task task;
+    {
+      MutexLock lock(queue_mu_);
+      while (!shutting_down_ && queue_.empty()) {
+        work_available_.Wait(queue_mu_);
+      }
       // shutting_down_ is set and all deferred work has been applied.
-      queue_mu_.Unlock();
-      return;
+      if (queue_.empty()) return;
+      task = std::move(queue_.front());
+      queue_.pop_front();
+      worker_busy_ = true;
+      space_available_.NotifyOne();
     }
-    Task task = std::move(queue_.front());
-    queue_.pop_front();
-    worker_busy_ = true;
-    space_available_.NotifyOne();
-    queue_mu_.Unlock();
     {
       // manageCache mutates the cache structurally (instance-list growth,
       // plan-store inserts, evictions), so it takes the exclusive side;
@@ -68,7 +68,7 @@ void AsyncScr::WorkerLoop() {
                                     task.engine, &task.attempt);
       }
     }
-    queue_mu_.Lock();
+    MutexLock lock(queue_mu_);
     ++tasks_processed_;
     worker_busy_ = false;
     if (queue_.empty()) idle_.NotifyAll();

@@ -12,29 +12,31 @@ PlanChoice Density::OnInstance(const WorkloadInstance& wi,
   const SVector& sv = wi.svector;
 
   // Vote among stored points inside the neighborhood.
-  std::map<int, int> votes;
+  std::map<const PlanStore::Entry*, int> votes;
   int total = 0;
   for (const Point& p : points_) {
-    if (!store_.entry(p.plan_id).live) continue;
     if (EuclideanDistance(sv, p.sv) <= options_.radius) {
-      ++votes[p.plan_id];
+      ++votes[p.plan];
       ++total;
     }
   }
   if (total >= options_.min_neighbors) {
-    int best_plan = -1;
+    // The winner is picked in storage order, so a tie goes to the oldest
+    // plan.
+    PlanStore::Entry* best_plan = nullptr;
     int best_votes = 0;
-    for (const auto& [plan_id, count] : votes) {
-      if (count > best_votes) {
-        best_votes = count;
-        best_plan = plan_id;
+    for (const std::unique_ptr<PlanStore::Entry>& e : store_.live()) {
+      auto it = votes.find(e.get());
+      if (it != votes.end() && it->second > best_votes) {
+        best_votes = it->second;
+        best_plan = e.get();
       }
     }
-    if (best_plan >= 0 &&
+    if (best_plan != nullptr &&
         static_cast<double>(best_votes) / static_cast<double>(total) >=
             options_.confidence) {
-      store_.AddUsage(best_plan, 1);
-      choice.plan = store_.entry(best_plan).plan;
+      best_plan->total_usage.Add(1);
+      choice.plan = best_plan->plan;
       return choice;
     }
   }
@@ -44,8 +46,8 @@ PlanChoice Density::OnInstance(const WorkloadInstance& wi,
   CachedPlan cached = MakeCachedPlan(*result);
   PlanStore::StoreResult stored = store_.StoreOrReuse(
       cached, sv, result->cost, options_.recost_redundancy_lambda_r, engine);
-  points_.push_back(Point{sv, stored.plan_id});
-  choice.plan = store_.entry(stored.plan_id).plan;
+  points_.push_back(Point{sv, stored.entry});
+  choice.plan = stored.entry->plan;
   return choice;
 }
 

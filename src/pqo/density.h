@@ -44,7 +44,7 @@ class Density : public PqoTechnique {
  private:
   struct Point {
     SVector sv;
-    int plan_id = -1;
+    PlanStore::Entry* plan = nullptr;
   };
 
   DensityOptions options_;

@@ -1,5 +1,7 @@
 #include "pqo/ellipse.h"
 
+#include <algorithm>
+
 #include "common/math_util.h"
 
 namespace scrpqo {
@@ -9,8 +11,8 @@ PlanChoice Ellipse::OnInstance(const WorkloadInstance& wi,
   PlanChoice choice;
   const SVector& sv = wi.svector;
 
-  for (const auto& [plan_id, points] : points_by_plan_) {
-    if (!store_.entry(plan_id).live || points.size() < 2) continue;
+  for (const PlanPoints& group : groups_) {
+    const std::vector<SVector>& points = group.points;
     for (size_t i = 0; i < points.size(); ++i) {
       for (size_t j = i + 1; j < points.size(); ++j) {
         double focal = EuclideanDistance(points[i], points[j]);
@@ -18,8 +20,8 @@ PlanChoice Ellipse::OnInstance(const WorkloadInstance& wi,
         double spread = EuclideanDistance(sv, points[i]) +
                         EuclideanDistance(sv, points[j]);
         if (spread <= 0.0 || focal / spread >= options_.delta) {
-          store_.AddUsage(plan_id, 1);
-          choice.plan = store_.entry(plan_id).plan;
+          group.plan->total_usage.Add(1);
+          choice.plan = group.plan->plan;
           return choice;
         }
       }
@@ -31,8 +33,14 @@ PlanChoice Ellipse::OnInstance(const WorkloadInstance& wi,
   CachedPlan cached = MakeCachedPlan(*result);
   PlanStore::StoreResult stored = store_.StoreOrReuse(
       cached, sv, result->cost, options_.recost_redundancy_lambda_r, engine);
-  points_by_plan_[stored.plan_id].push_back(sv);
-  choice.plan = store_.entry(stored.plan_id).plan;
+  auto group = std::find_if(
+      groups_.begin(), groups_.end(),
+      [&](const PlanPoints& g) { return g.plan == stored.entry; });
+  if (group == groups_.end()) {
+    group = groups_.insert(groups_.end(), PlanPoints{stored.entry, {}});
+  }
+  group->points.push_back(sv);
+  choice.plan = stored.entry->plan;
   return choice;
 }
 

@@ -4,7 +4,6 @@
 // No sub-optimality guarantee.
 #pragma once
 
-#include <map>
 #include <memory>
 #include <sstream>
 #include <vector>
@@ -42,8 +41,13 @@ class Ellipse : public PqoTechnique {
  private:
   EllipseOptions options_;
   PlanStore store_;
-  /// Optimized points grouped by the plan they map to.
-  std::map<int, std::vector<SVector>> points_by_plan_;
+  /// Optimized points grouped by the plan they map to, one group per
+  /// plan in storage order (a group opens when its plan is stored).
+  struct PlanPoints {
+    PlanStore::Entry* plan = nullptr;
+    std::vector<SVector> points;
+  };
+  std::vector<PlanPoints> groups_;
 };
 
 }  // namespace scrpqo

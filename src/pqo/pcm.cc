@@ -75,14 +75,14 @@ PlanChoice Pcm::OnInstance(const WorkloadInstance& wi, EngineContext* engine) {
   // Armed exactly when tracing: its stamps time the traced decision.
   const int64_t start_ns = sel_timer.start_ns();
   double best_upper = std::numeric_limits<double>::infinity();
-  int upper_plan = -1;
+  PlanStore::Entry* upper_plan = nullptr;
   double best_lower = 0.0;
   bool have_lower = false;
   for (const Point& p : points_) {
     if (Dominates(p.sv, sv)) {
       if (p.opt_cost < best_upper) {
         best_upper = p.opt_cost;
-        upper_plan = p.plan_id;
+        upper_plan = p.plan;
       }
     }
     if (Dominates(sv, p.sv)) {
@@ -97,16 +97,16 @@ PlanChoice Pcm::OnInstance(const WorkloadInstance& wi, EngineContext* engine) {
   // compares false through the bound below (no unsound reuse), but the
   // explicit check keeps an inf/NaN from reaching the traced `r` and the
   // stats pipeline.
-  if (upper_plan >= 0 && have_lower && best_lower > 0.0 &&
+  if (upper_plan != nullptr && have_lower && best_lower > 0.0 &&
       std::isfinite(best_upper) && std::isfinite(best_lower) &&
       best_upper <= options_.lambda * best_lower) {
-    store_.AddUsage(upper_plan, 1);
-    choice.plan = store_.entry(upper_plan).plan;
+    upper_plan->total_usage.Add(1);
+    choice.plan = upper_plan->plan;
     if (cost_check_hits_ != nullptr) cost_check_hits_->Increment();
     if (obs_.tracer != nullptr) {
       DecisionEvent ev;
       ev.outcome = DecisionOutcome::kCostCheckHit;
-      ev.matched_entry = upper_plan;
+      ev.matched_entry = upper_plan->id;
       // PCM's inference check is r <= lambda (no L/S factors involved).
       ev.r = best_upper / best_lower;
       ev.lambda = options_.lambda;
@@ -122,25 +122,25 @@ PlanChoice Pcm::OnInstance(const WorkloadInstance& wi, EngineContext* engine) {
     // Optimizer unavailable: serve the cheapest cached plan by recost,
     // without the guarantee (traced as kDegraded, lambda unset).
     choice.degraded = true;
-    int best_id = -1;
+    PlanStore::Entry* best = nullptr;
     double best_cost = std::numeric_limits<double>::infinity();
-    for (int id : store_.LivePlanIds()) {
-      double c = engine->Recost(*store_.entry(id).plan, sv);
+    for (const std::unique_ptr<PlanStore::Entry>& e : store_.live()) {
+      double c = engine->Recost(*e->plan, sv);
       ++choice.recost_calls_in_get_plan;
       if (std::isfinite(c) && c < best_cost) {
         best_cost = c;
-        best_id = id;
+        best = e.get();
       }
     }
-    if (best_id >= 0) {
-      store_.AddUsage(best_id, 1);
-      choice.plan = store_.entry(best_id).plan;
+    if (best != nullptr) {
+      best->total_usage.Add(1);
+      choice.plan = best->plan;
     }
     if (degraded_ != nullptr) degraded_->Increment();
     if (obs_.tracer != nullptr) {
       DecisionEvent ev;
       ev.outcome = DecisionOutcome::kDegraded;
-      ev.matched_entry = best_id;
+      ev.matched_entry = best != nullptr ? best->id : -1;
       ev.recost_calls = choice.recost_calls_in_get_plan;
       EmitEvent(ev, wi.id, start_ns, ObsClock::NowNs());
     }
@@ -162,9 +162,9 @@ PlanChoice Pcm::OnInstance(const WorkloadInstance& wi, EngineContext* engine) {
   // plan is still served (it is the optimizer's answer); only inference
   // from this instance is quarantined.
   if (std::isfinite(result->cost) && result->cost > 0.0) {
-    points_.push_back(Point{sv, result->cost, stored.plan_id});
+    points_.push_back(Point{sv, result->cost, stored.entry});
   }
-  choice.plan = store_.entry(stored.plan_id).plan;
+  choice.plan = stored.entry->plan;
   if (stored.reused_existing) {
     if (redundant_discards_ != nullptr) redundant_discards_->Increment();
   } else if (optimized_ != nullptr) {
@@ -175,7 +175,7 @@ PlanChoice Pcm::OnInstance(const WorkloadInstance& wi, EngineContext* engine) {
     ev.outcome = stored.reused_existing
                      ? DecisionOutcome::kRedundantDiscard
                      : DecisionOutcome::kOptimized;
-    ev.matched_entry = stored.plan_id;
+    ev.matched_entry = stored.entry->id;
     if (stored.reused_existing) {
       ev.r = stored.subopt;
       ev.subopt = stored.subopt;

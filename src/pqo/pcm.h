@@ -50,7 +50,7 @@ class Pcm : public PqoTechnique {
   struct Point {
     SVector sv;
     double opt_cost = 0.0;
-    int plan_id = -1;
+    PlanStore::Entry* plan = nullptr;
   };
 
   PcmOptions options_;

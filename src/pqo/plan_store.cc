@@ -15,16 +15,14 @@ PlanStore::StoreResult PlanStore::StoreOrReuse(const CachedPlan& plan,
                                                double lambda_r,
                                                EngineContext* engine) {
   StoreResult result;
-  auto it = by_signature_.find(plan.signature);
-  if (it != by_signature_.end() &&
-      entries_[static_cast<size_t>(it->second)].live) {
-    result.plan_id = it->second;
+  if (Entry* present = FindBySignature(plan.signature)) {
+    result.entry = present;
     result.subopt = 1.0;
     result.already_present = true;
     return result;
   }
 
-  if (lambda_r >= 1.0 && !live_ids_.empty()) {
+  if (lambda_r >= 1.0 && !live_.empty()) {
     // Redundancy check: one batched Recost sweep over the live cached
     // plans, one program scan each. The sweep stops as soon as the running
     // best is already within lambda_r of optimal — the plan will be
@@ -33,9 +31,9 @@ PlanStore::StoreResult PlanStore::StoreOrReuse(const CachedPlan& plan,
     // scanning the tail.
     ScratchArena& arena = ScratchArena::Tls();
     ScratchArena::Scope scope(arena);
-    ArenaVec<const CachedPlan*> live_plans(arena, live_ids_.size());
-    for (int id : live_ids_) {
-      live_plans.push_back(entries_[static_cast<size_t>(id)].plan.get());
+    ArenaVec<const CachedPlan*> live_plans(arena, live_.size());
+    for (const std::unique_ptr<Entry>& e : live_) {
+      live_plans.push_back(e->plan.get());
     }
     ArenaVec<double> costs(arena, live_plans.size());
     costs.resize(live_plans.size());
@@ -58,7 +56,7 @@ PlanStore::StoreResult PlanStore::StoreOrReuse(const CachedPlan& plan,
     if (min_pos < live_plans.size() && opt_cost > 0.0) {
       double s_min = min_cost / opt_cost;
       if (s_min <= lambda_r) {
-        result.plan_id = live_ids_[min_pos];
+        result.entry = live_[min_pos].get();
         result.subopt = s_min;
         result.reused_existing = true;
         return result;
@@ -67,50 +65,44 @@ PlanStore::StoreResult PlanStore::StoreOrReuse(const CachedPlan& plan,
   }
 
   // Store the new plan.
-  Entry e;
-  e.plan = std::make_shared<CachedPlan>(plan);
-  e.total_usage = 0;
-  e.live = true;
-  entries_.push_back(std::move(e));
-  int id = static_cast<int>(entries_.size()) - 1;
-  by_signature_[plan.signature] = id;
-  live_ids_.push_back(id);
+  auto e = std::make_unique<Entry>();
+  e->plan = std::make_shared<CachedPlan>(plan);
+  e->id = next_id_++;
+  result.entry = e.get();
+  by_signature_[plan.signature] = e.get();
+  live_.push_back(std::move(e));
   peak_ = std::max(peak_, NumLive());
-  result.plan_id = id;
   result.subopt = 1.0;
   return result;
 }
 
-void PlanStore::Drop(int plan_id) {
-  Entry& e = entry(plan_id);
-  SCRPQO_CHECK(e.live, "dropping a plan that is not live");
-  e.live = false;
-  live_ids_.erase(
-      std::lower_bound(live_ids_.begin(), live_ids_.end(), plan_id));
-  by_signature_.erase(e.plan->signature);
-  e.plan.reset();
+void PlanStore::Drop(Entry* entry) {
+  auto it = std::find_if(
+      live_.begin(), live_.end(),
+      [entry](const std::unique_ptr<Entry>& e) { return e.get() == entry; });
+  SCRPQO_CHECK(it != live_.end(), "dropping a plan that is not live");
+  by_signature_.erase(entry->plan->signature);
+  live_.erase(it);
 }
 
-int PlanStore::MinUsagePlanId(int exclude_plan_id) const {
-  int best = -1;
+PlanStore::Entry* PlanStore::MinUsage(const Entry* exclude) const {
+  Entry* best = nullptr;
   int64_t best_usage = std::numeric_limits<int64_t>::max();
-  for (int id : live_ids_) {
-    if (id == exclude_plan_id) continue;
-    // Strict: ties keep the lowest id.
-    const int64_t usage =
-        entries_[static_cast<size_t>(id)].total_usage.value();
+  for (const std::unique_ptr<Entry>& e : live_) {
+    if (e.get() == exclude) continue;
+    // Strict: ties keep the oldest.
+    const int64_t usage = e->total_usage.value();
     if (usage < best_usage) {
       best_usage = usage;
-      best = id;
+      best = e.get();
     }
   }
   return best;
 }
 
-int PlanStore::FindLiveBySignature(uint64_t signature) const {
+PlanStore::Entry* PlanStore::FindBySignature(uint64_t signature) const {
   auto it = by_signature_.find(signature);
-  if (it == by_signature_.end()) return -1;
-  return entries_[static_cast<size_t>(it->second)].live ? it->second : -1;
+  return it != by_signature_.end() ? it->second : nullptr;
 }
 
 }  // namespace scrpqo

@@ -1,18 +1,21 @@
-// Shared plan-cache bookkeeping: a list of distinct plans keyed by
+// Shared plan-cache bookkeeping: the distinct cached plans keyed by
 // structural signature, with peak-size tracking and an optional Recost-based
 // redundancy check on insert (used natively by SCR, and by the
 // Recost-augmented baseline variants of the paper's Appendix H.6).
 //
-// Plan ids are positions in one append-only entry array: they stay stable
-// and are never reused, and Drop only marks an entry dead. Beside it the
-// store keeps the ascending list of live ids, so every walk over the live
-// plans (the redundancy sweep, the LFU victim search, LivePlanIds) costs
-// O(live plans), not O(plans ever stored).
+// The store holds one heap record (Entry) per live plan, in storage order.
+// Techniques keep `Entry*` handles where the paper's instance 5-tuple keeps
+// its plan pointer PP (Section 6.1): a hit bumps usage and copies the plan
+// through its handle, with no lookup. A handle stays valid until Drop frees
+// its record, so a dropped plan leaves nothing behind in the store.
 //
-// Read-path concurrency: entry() lookups and AddUsage() run under the
-// owning technique's shared (read) lock, so usage counters are relaxed
-// atomics; all structural mutation (StoreOrReuse/Drop) happens under the
-// exclusive lock.
+// Each record carries an id, assigned 0, 1, 2, ... in storage order and
+// never reused. It only labels the plan in decision events; nothing looks a
+// plan up by it.
+//
+// Read-path concurrency: handle reads and usage bumps run under the owning
+// technique's shared (read) lock, so usage counters are relaxed atomics; all
+// structural mutation (StoreOrReuse/Drop) happens under the exclusive lock.
 #pragma once
 
 #include <cstdint>
@@ -22,7 +25,6 @@
 #include <vector>
 
 #include "common/atomics.h"
-#include "common/status.h"
 #include "optimizer/recost.h"
 #include "pqo/engine_context.h"
 
@@ -30,19 +32,22 @@ namespace scrpqo {
 
 class PlanStore {
  public:
+  /// One live plan's record.
   struct Entry {
-    /// Null once the entry is dead: Drop releases the store's reference.
     std::shared_ptr<const CachedPlan> plan;
     /// Aggregate usage across instance entries pointing at this plan (for
     /// LFU eviction under a plan budget). Bumped from the concurrent
     /// getPlan read path.
     RelaxedCounter<int64_t> total_usage = 0;
-    bool live = true;
+    /// Storage-order label, printed as the matched entry of plan-level
+    /// decision events.
+    int id = -1;
   };
 
   /// Outcome of StoreOrReuse.
   struct StoreResult {
-    int plan_id = -1;
+    /// The stored or reused plan's record.
+    Entry* entry = nullptr;
     /// Sub-optimality of the stored/reused plan at the optimized instance
     /// (1.0 when the new plan itself was stored or already present).
     double subopt = 1.0;
@@ -63,62 +68,36 @@ class PlanStore {
                            double opt_cost, double lambda_r,
                            EngineContext* engine);
 
-  /// Bounds-checked entry access. Dead entries remain readable (callers
-  /// filter on `.live`) but hold a null `plan`; only ids never handed out
-  /// by StoreOrReuse abort.
-  const Entry& entry(int plan_id) const {
-    CheckId(plan_id);
-    return entries_[static_cast<size_t>(plan_id)];
-  }
-  Entry& entry(int plan_id) {
-    CheckId(plan_id);
-    return entries_[static_cast<size_t>(plan_id)];
-  }
+  /// The live records, oldest first. A view of the store's list: it
+  /// allocates nothing and is invalidated by the next StoreOrReuse or Drop,
+  /// so a caller that drops plans while iterating must iterate a copy.
+  std::span<const std::unique_ptr<Entry>> live() const { return live_; }
 
-  /// Thread-safe under the shared (read) lock.
-  void AddUsage(int plan_id, int64_t delta) {
-    CheckId(plan_id);
-    entries_[static_cast<size_t>(plan_id)].total_usage.Add(delta);
-  }
+  /// Frees a live record (budget eviction), releasing the store's
+  /// reference to its plan, so the CachedPlan is freed once no PlanChoice
+  /// holds it. Every handle to `entry` dangles afterwards: the caller
+  /// removes the instance entries that point at it first.
+  void Drop(Entry* entry);
 
-  /// Live plan ids, ascending. A view of the store's list: it allocates
-  /// nothing and is invalidated by the next StoreOrReuse or Drop, so a
-  /// caller that drops plans while iterating must iterate a copy.
-  std::span<const int> LivePlanIds() const { return live_ids_; }
-
-  /// Marks a plan dead (budget eviction), removes it from the live list
-  /// and releases the store's reference to it, so the CachedPlan is freed
-  /// once no PlanChoice holds it. The caller is responsible for removing
-  /// instance entries that point at it.
-  void Drop(int plan_id);
-
-  /// Live plan with the minimum total usage (LFU victim), -1 if none; ties
-  /// go to the lowest id. `exclude_plan_id` (>= 0) removes one plan from
+  /// The live record with the minimum total usage (LFU victim), null if
+  /// none; ties go to the oldest. `exclude` removes one record from
   /// consideration — the budget-eviction caller pins the plan just chosen
   /// for the in-flight instance so the freshest plan can never be its own
   /// victim.
-  int MinUsagePlanId(int exclude_plan_id = -1) const;
+  Entry* MinUsage(const Entry* exclude = nullptr) const;
 
-  /// Live plan id with the given structural signature, -1 if absent or
-  /// dead. Used to translate cross-template eviction pins (which travel as
-  /// signatures, since plan ids are store-local) back into ids.
-  int FindLiveBySignature(uint64_t signature) const;
+  /// The live record with the given structural signature, null if none.
+  /// Cross-template eviction pins travel as signatures and resolve here.
+  Entry* FindBySignature(uint64_t signature) const;
 
-  int64_t NumLive() const { return static_cast<int64_t>(live_ids_.size()); }
+  int64_t NumLive() const { return static_cast<int64_t>(live_.size()); }
   int64_t Peak() const { return peak_; }
 
  private:
-  void CheckId(int plan_id) const {
-    SCRPQO_CHECK(plan_id >= 0 &&
-                     plan_id < static_cast<int>(entries_.size()),
-                 "plan id out of range for plan store");
-  }
-
-  /// Every plan ever stored, indexed by id; dead entries stay in place.
-  std::vector<Entry> entries_;
-  /// Ids of the live entries, ascending (a new id is always the largest).
-  std::vector<int> live_ids_;
-  std::map<uint64_t, int> by_signature_;
+  /// The live records in storage order (ascending id).
+  std::vector<std::unique_ptr<Entry>> live_;
+  std::map<uint64_t, Entry*> by_signature_;
+  int next_id_ = 0;
   int64_t peak_ = 0;
 };
 

@@ -31,26 +31,12 @@ PqoManager::Shard& PqoManager::ShardFor(const std::string& key) const {
   return *shards_[h % shards_.size()];
 }
 
-PqoManager::ShardLock::ShardLock(const PqoManager& mgr, const Shard& shard)
-    : shard_(shard) {
-  // StageTimer feeds both the wait histogram and the ambient getPlan span
-  // (when OnInstance opened one); with neither attached it reads no clock.
-  StageTimer wait(Stage::kShardWait,
-                  mgr.shard_lock_wait_.load(std::memory_order_relaxed));
-  shard.mu.Lock();
-}
-
-PqoManager::ShardLock::~ShardLock() { shard_.mu.Unlock(); }
-
 void PqoManager::SetObs(const ObsHooks& hooks) {
   {
     MutexLock obs_lock(obs_mu_);
     obs_ = hooks;
     span_enabled_.store(hooks.tracer != nullptr, std::memory_order_relaxed);
     if (hooks.metrics != nullptr) {
-      shard_lock_wait_.store(
-          hooks.metrics->histogram("pqo_manager.shard_lock_wait"),
-          std::memory_order_relaxed);
       templates_created_.store(
           hooks.metrics->counter("pqo_manager.templates"),
           std::memory_order_relaxed);
@@ -67,7 +53,6 @@ void PqoManager::SetObs(const ObsHooks& hooks) {
           hooks.metrics->counter("pqo.degraded_decisions"),
           std::memory_order_relaxed);
     } else {
-      shard_lock_wait_.store(nullptr, std::memory_order_relaxed);
       templates_created_.store(nullptr, std::memory_order_relaxed);
       invalidations_.store(nullptr, std::memory_order_relaxed);
       global_evictions_counter_.store(nullptr, std::memory_order_relaxed);
@@ -84,7 +69,7 @@ void PqoManager::SetObs(const ObsHooks& hooks) {
 
 PqoManager::StatePtr PqoManager::GetOrCreate(const std::string& key) {
   Shard& shard = ShardFor(key);
-  ShardLock lock(*this, shard);
+  MutexLock lock(shard.mu);
   auto it = shard.templates.find(key);
   if (it != shard.templates.end()) return it->second;
   // The key is baked into the state before publication, so lock-free
@@ -101,7 +86,7 @@ std::vector<PqoManager::StatePtr> PqoManager::AllStates() const {
   std::vector<StatePtr> out;
   for (const std::unique_ptr<Shard>& shard_ptr : shards_) {
     const Shard& shard = *shard_ptr;
-    ShardLock lock(*this, shard);
+    MutexLock lock(shard.mu);
     for (const auto& [key, st] : shard.templates) out.push_back(st);
   }
   return out;
@@ -182,9 +167,9 @@ void PqoManager::FinishWarmupLocked(TemplateState* st) {
 PlanChoice PqoManager::OnInstance(const std::string& template_key,
                                   const WorkloadInstance& wi,
                                   EngineContext* engine) {
-  // Outermost span for the routed decision: everything downstream
-  // (shard-lock wait, the cache's checks, engine calls) accumulates into
-  // one breakdown that the emitting technique copies onto its event.
+  // Outermost span for the routed decision: everything downstream (the
+  // cache's checks, engine calls) accumulates into one breakdown that the
+  // emitting technique copies onto its event.
   GetPlanSpan span(span_enabled_.load(std::memory_order_relaxed));
   StatePtr st = GetOrCreate(template_key);
   TemplateState* state = st.get();
@@ -325,7 +310,7 @@ int64_t PqoManager::NumTemplates() const {
   int64_t total = 0;
   for (const std::unique_ptr<Shard>& shard_ptr : shards_) {
     const Shard& shard = *shard_ptr;
-    ShardLock lock(*this, shard);
+    MutexLock lock(shard.mu);
     total += static_cast<int64_t>(shard.templates.size());
   }
   return total;
@@ -349,7 +334,7 @@ void PqoManager::InvalidateTemplate(const std::string& template_key) {
   StatePtr doomed;
   {
     Shard& shard = ShardFor(template_key);
-    ShardLock lock(*this, shard);
+    MutexLock lock(shard.mu);
     auto it = shard.templates.find(template_key);
     if (it == shard.templates.end()) return;
     doomed = std::move(it->second);
@@ -367,7 +352,7 @@ double PqoManager::LambdaFor(const std::string& template_key) const {
   StatePtr st;
   {
     Shard& shard = ShardFor(template_key);
-    ShardLock lock(*this, shard);
+    MutexLock lock(shard.mu);
     auto it = shard.templates.find(template_key);
     if (it == shard.templates.end()) return 0.0;
     st = it->second;

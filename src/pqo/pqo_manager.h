@@ -28,10 +28,9 @@
 //    drop a template while requests are in flight on it: the erased cache
 //    dies when its last in-flight call returns.
 //
-// Metrics (when SetObs attaches a registry): "pqo_manager.shard_lock_wait"
-// (micros histogram), "pqo_manager.templates" (templates ever created),
-// "pqo_manager.invalidations", "pqo_manager.global_evictions",
-// "pqo_manager.warmup_fallbacks".
+// Metrics (when SetObs attaches a registry): "pqo_manager.templates"
+// (templates ever created), "pqo_manager.invalidations",
+// "pqo_manager.global_evictions", "pqo_manager.warmup_fallbacks".
 #pragma once
 
 #include <atomic>
@@ -188,23 +187,6 @@ class PqoManager {
     std::map<std::string, StatePtr> templates GUARDED_BY(mu);
   };
 
-  /// Scoped shard hold that records the acquisition wait into
-  /// "pqo_manager.shard_lock_wait" (and the ambient getPlan span). The
-  /// scoped-capability shape replaces the old
-  /// `std::unique_lock LockShard(...)` helper: a lock returned by value is
-  /// opaque to the thread-safety analysis, a scoped acquire is not.
-  class SCOPED_CAPABILITY ShardLock {
-   public:
-    ShardLock(const PqoManager& mgr, const Shard& shard) ACQUIRE(shard.mu);
-    ~ShardLock() RELEASE();
-
-    ShardLock(const ShardLock&) = delete;
-    ShardLock& operator=(const ShardLock&) = delete;
-
-   private:
-    const Shard& shard_;
-  };
-
   /// A warmed template's cache; `state` keeps it alive.
   struct CacheRef {
     StatePtr state;
@@ -268,7 +250,6 @@ class PqoManager {
   /// True when a tracer is attached, so OnInstance knows whether to open a
   /// getPlan span without taking obs_mu_ on the hot path.
   std::atomic<bool> span_enabled_{false};
-  std::atomic<LogHistogram*> shard_lock_wait_{nullptr};
   std::atomic<Counter*> templates_created_{nullptr};
   std::atomic<Counter*> invalidations_{nullptr};
   std::atomic<Counter*> global_evictions_counter_{nullptr};

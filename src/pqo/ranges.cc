@@ -36,7 +36,6 @@ PlanChoice Ranges::OnInstance(const WorkloadInstance& wi,
   int best = -1;
   double best_volume = std::numeric_limits<double>::infinity();
   for (size_t i = 0; i < boxes_.size(); ++i) {
-    if (!store_.entry(boxes_[i].plan_id).live) continue;
     if (boxes_[i].Contains(sv, options_.margin)) {
       double vol = boxes_[i].Volume(options_.margin);
       if (vol < best_volume) {
@@ -46,8 +45,9 @@ PlanChoice Ranges::OnInstance(const WorkloadInstance& wi,
     }
   }
   if (best >= 0) {
-    store_.AddUsage(boxes_[static_cast<size_t>(best)].plan_id, 1);
-    choice.plan = store_.entry(boxes_[static_cast<size_t>(best)].plan_id).plan;
+    PlanStore::Entry* plan = boxes_[static_cast<size_t>(best)].plan;
+    plan->total_usage.Add(1);
+    choice.plan = plan->plan;
     return choice;
   }
 
@@ -59,16 +59,16 @@ PlanChoice Ranges::OnInstance(const WorkloadInstance& wi,
   // Extend this plan's rectangle (or create it).
   bool found = false;
   for (auto& box : boxes_) {
-    if (box.plan_id == stored.plan_id) {
+    if (box.plan == stored.entry) {
       box.Extend(sv);
       found = true;
       break;
     }
   }
   if (!found) {
-    boxes_.push_back(Box{stored.plan_id, sv, sv});
+    boxes_.push_back(Box{stored.entry, sv, sv});
   }
-  choice.plan = store_.entry(stored.plan_id).plan;
+  choice.plan = stored.entry->plan;
   return choice;
 }
 

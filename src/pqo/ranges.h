@@ -40,7 +40,7 @@ class Ranges : public PqoTechnique {
 
  private:
   struct Box {
-    int plan_id = -1;
+    PlanStore::Entry* plan = nullptr;
     SVector lo, hi;
 
     bool Contains(const SVector& sv, double margin) const;

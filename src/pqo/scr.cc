@@ -141,13 +141,13 @@ void Scr::SetObs(const ObsHooks& hooks) {
         obs_.metrics->histogram("scr.manage_cache_micros");
     cost_check_candidates_ =
         obs_.metrics->histogram("scr.cost_check_candidates");
-    stage_hists_ = StageHistograms::FromRegistry(obs_.metrics);
+    sel_check_micros_ = obs_.metrics->histogram("stage.sel_check_micros");
   } else {
     for (Counter*& c : decision_counters_) c = nullptr;
     get_plan_micros_ = nullptr;
     manage_cache_micros_ = nullptr;
     cost_check_candidates_ = nullptr;
-    stage_hists_.Reset();
+    sel_check_micros_ = nullptr;
   }
 }
 
@@ -210,21 +210,21 @@ bool Scr::TryServeDegraded(const WorkloadInstance& wi, EngineContext* engine,
   // Best cached plan by recost: the selectivity/cost checks already
   // rejected lambda-bounded reuse, so this is explicitly NOT
   // lambda-optimal — it is merely the least-bad plan available.
-  int best_id = -1;
+  PlanStore::Entry* best = nullptr;
   double best_cost = std::numeric_limits<double>::infinity();
-  for (int id : store_.LivePlanIds()) {
-    double c = engine->Recost(*store_.entry(id).plan, sv);
+  for (const std::unique_ptr<PlanStore::Entry>& e : store_.live()) {
+    double c = engine->Recost(*e->plan, sv);
     ++choice->recost_calls_in_get_plan;
     if (std::isfinite(c) && c < best_cost) {
       best_cost = c;
-      best_id = id;
+      best = e.get();
     }
   }
   // Empty (or all-non-finite) cache: nothing to fall back on.
-  if (best_id < 0) return false;
-  store_.AddUsage(best_id, 1);
-  choice->plan = store_.entry(best_id).plan;
-  RecordDegraded(wi, choice, start_ns, best_id);
+  if (best == nullptr) return false;
+  best->total_usage.Add(1);
+  choice->plan = best->plan;
+  RecordDegraded(wi, choice, start_ns, best->id);
   return true;
 }
 
@@ -278,7 +278,7 @@ bool Scr::TryReuse(const WorkloadInstance& wi, EngineContext* engine,
   const size_t n = sv.size() == dims_ ? instances_.size() : 0;
   double* dist = arena.AllocateArray<double>(n);
   {
-    StageTimer sel_timer(Stage::kSelCheck, stage_hists_[Stage::kSelCheck]);
+    StageTimer sel_timer(Stage::kSelCheck, sel_check_micros_);
     start_ns = sel_timer.start_ns();
     if (start_ns_out != nullptr) *start_ns_out = start_ns;
     const size_t d = dims_;
@@ -293,8 +293,8 @@ bool Scr::TryReuse(const WorkloadInstance& wi, EngineContext* engine,
         const GlFactors gl = ComputeGlFast(e.v, sv);
         if (gl.g * gl.l <= LambdaFor(e) / e.subopt) {
           e.usage.Add(1);
-          store_.AddUsage(e.plan_id, 1);
-          choice.plan = store_.entry(e.plan_id).plan;
+          e.plan->total_usage.Add(1);
+          choice.plan = e.plan->plan;
           const int64_t end_ns = sel_timer.Stop();
           RecordAttemptTime(start_ns, end_ns);
           if (obs_.tracer != nullptr || obs_.metrics != nullptr) {
@@ -386,8 +386,7 @@ bool Scr::TryReuse(const WorkloadInstance& wi, EngineContext* engine,
     };
     ArenaVec<const CachedPlan*> cand_plans(arena, candidates.size());
     for (const Candidate& c : candidates) {
-      cand_plans.push_back(
-          store_.entry(instances_[c.entry].plan_id).plan.get());
+      cand_plans.push_back(instances_[c.entry].plan->plan.get());
     }
     engine->RecostMany(
         std::span<const CachedPlan* const>(cand_plans.data(),
@@ -402,8 +401,8 @@ bool Scr::TryReuse(const WorkloadInstance& wi, EngineContext* engine,
     const Candidate& c = candidates[static_cast<size_t>(hit)];
     InstanceEntry& e = instances_[c.entry];
     e.usage.Add(1);
-    store_.AddUsage(e.plan_id, 1);
-    choice.plan = store_.entry(e.plan_id).plan;
+    e.plan->total_usage.Add(1);
+    choice.plan = e.plan->plan;
     choice.recost_calls_in_get_plan = recosts;
     max_recost_calls_per_get_plan_.UpdateMax(recosts);
     if (obs_.tracer != nullptr || obs_.metrics != nullptr) {
@@ -587,7 +586,7 @@ void Scr::RegisterOptimization(
     ev.outcome = stored.reused_existing
                      ? DecisionOutcome::kRedundantDiscard
                      : DecisionOutcome::kOptimized;
-    ev.matched_entry = stored.plan_id;
+    ev.matched_entry = stored.entry->id;
     if (stored.reused_existing) {
       ev.r = stored.subopt;
       ev.subopt = stored.subopt;
@@ -605,47 +604,40 @@ void Scr::RegisterOptimization(
     // pushed below pointing at a dead plan.
     if (options_.plan_budget > 0 &&
         store_.NumLive() > options_.plan_budget) {
-      EvictForBudget(wi.id, stored.plan_id);
+      EvictForBudget(wi.id, stored.entry);
     }
   }
 
   InstanceEntry entry;
   entry.v = sv;
-  entry.plan_id = stored.plan_id;
+  entry.plan = stored.entry;
   entry.opt_cost = result->cost;
   entry.subopt = stored.subopt;
   entry.usage = 1;
   AppendEntry(std::move(entry));
-  store_.AddUsage(stored.plan_id, 1);
-  choice->plan = store_.entry(stored.plan_id).plan;
+  stored.entry->total_usage.Add(1);
+  choice->plan = stored.entry->plan;
 }
 
-void Scr::EvictForBudget(int instance_id, int pinned_plan_id) {
+void Scr::EvictForBudget(int instance_id, const PlanStore::Entry* pinned) {
   while (store_.NumLive() > options_.plan_budget) {
-    int victim = store_.MinUsagePlanId(pinned_plan_id);
+    PlanStore::Entry* victim = store_.MinUsage(pinned);
     // Nothing evictable besides the pinned in-flight plan.
-    if (victim < 0) break;
+    if (victim == nullptr) break;
     DropPlanAndEntries(victim, instance_id);
   }
 }
 
-void Scr::DropPlanAndEntries(int victim, int instance_id) {
-  store_.Drop(victim);
-  if (obs_.tracer != nullptr || obs_.metrics != nullptr) {
-    DecisionEvent ev;
-    ev.outcome = DecisionOutcome::kEvicted;
-    ev.matched_entry = victim;
-    // Meta event: untimed (its cost belongs to the triggering decision).
-    EmitEvent(ev, instance_id, /*start_ns=*/-1, /*end_ns=*/-1);
-  }
+void Scr::DropPlanAndEntries(PlanStore::Entry* victim, int instance_id) {
   // Dropping the instance entries keeps the lambda-optimality guarantee
   // intact (Section 6.3.1): no future inference can use the gone plan.
   // One stable pass erases them with their table rows; later entries move
-  // down, keeping insertion order.
+  // down, keeping insertion order. It runs before the plan's record is
+  // freed, so no entry is left holding a dangling handle.
   const size_t d = dims_;
   size_t kept = 0;
   for (size_t i = 0; i < instances_.size(); ++i) {
-    if (instances_[i].plan_id == victim) continue;
+    if (instances_[i].plan == victim) continue;
     if (kept != i) {
       instances_[kept] = std::move(instances_[i]);
       std::copy_n(log_rows_.data() + i * d, d, log_rows_.data() + kept * d);
@@ -657,31 +649,39 @@ void Scr::DropPlanAndEntries(int victim, int instance_id) {
                    instances_.end());
   log_rows_.resize(kept * d);
   log_bounds_.resize(kept);
+  const int victim_id = victim->id;
+  store_.Drop(victim);
+  if (obs_.tracer != nullptr || obs_.metrics != nullptr) {
+    DecisionEvent ev;
+    ev.outcome = DecisionOutcome::kEvicted;
+    ev.matched_entry = victim_id;
+    // Meta event: untimed (its cost belongs to the triggering decision).
+    EmitEvent(ev, instance_id, /*start_ns=*/-1, /*end_ns=*/-1);
+  }
 }
 
 int64_t Scr::MinLivePlanUsage(uint64_t pinned_signature) const {
-  int exclude = pinned_signature != 0
-                    ? store_.FindLiveBySignature(pinned_signature)
-                    : -1;
-  int id = store_.MinUsagePlanId(exclude);
-  if (id < 0) return -1;
-  return store_.entry(id).total_usage.value();
+  const PlanStore::Entry* pinned =
+      pinned_signature != 0 ? store_.FindBySignature(pinned_signature)
+                            : nullptr;
+  const PlanStore::Entry* victim = store_.MinUsage(pinned);
+  return victim != nullptr ? victim->total_usage.value() : -1;
 }
 
 bool Scr::EvictLfuPlan(int instance_id, uint64_t pinned_signature) {
-  int exclude = pinned_signature != 0
-                    ? store_.FindLiveBySignature(pinned_signature)
-                    : -1;
-  int victim = store_.MinUsagePlanId(exclude);
-  if (victim < 0) return false;
+  const PlanStore::Entry* pinned =
+      pinned_signature != 0 ? store_.FindBySignature(pinned_signature)
+                            : nullptr;
+  PlanStore::Entry* victim = store_.MinUsage(pinned);
+  if (victim == nullptr) return false;
   DropPlanAndEntries(victim, instance_id);
   return true;
 }
 
 int64_t Scr::EstimatedMemoryBytes() const {
   int64_t total = 0;
-  for (int id : store_.LivePlanIds()) {
-    const std::shared_ptr<const CachedPlan>& p = store_.entry(id).plan;
+  for (const std::unique_ptr<PlanStore::Entry>& e : store_.live()) {
+    const std::shared_ptr<const CachedPlan>& p = e->plan;
     total += static_cast<int64_t>(sizeof(CachedPlan));
     if (p->plan != nullptr) total += PlanMemoryBytes(*p->plan);
     total += p->program.memory_bytes();
@@ -692,24 +692,25 @@ int64_t Scr::EstimatedMemoryBytes() const {
 
 std::vector<PlanPtr> Scr::SnapshotPlans() const {
   std::vector<PlanPtr> out;
-  for (int id : store_.LivePlanIds()) {
-    out.push_back(store_.entry(id).plan->plan);
+  for (const std::unique_ptr<PlanStore::Entry>& e : store_.live()) {
+    out.push_back(e->plan->plan);
   }
   return out;
 }
 
 std::vector<Scr::SnapshotEntry> Scr::SnapshotInstances() const {
-  // Map live plan ids to snapshot ordinals.
-  std::map<int, int> ordinal_of;
+  // Snapshot ordinals are positions in the store's storage order, as in
+  // SnapshotPlans(); every instance entry points at a live plan.
+  std::map<const PlanStore::Entry*, int> ordinal_of;
   int ordinal = 0;
-  for (int id : store_.LivePlanIds()) ordinal_of[id] = ordinal++;
+  for (const std::unique_ptr<PlanStore::Entry>& e : store_.live()) {
+    ordinal_of[e.get()] = ordinal++;
+  }
   std::vector<SnapshotEntry> out;
   for (const auto& e : instances_) {
-    auto it = ordinal_of.find(e.plan_id);
-    if (it == ordinal_of.end()) continue;
     SnapshotEntry se;
     se.v = e.v;
-    se.plan_ordinal = it->second;
+    se.plan_ordinal = ordinal_of.at(e.plan);
     se.opt_cost = e.opt_cost;
     se.subopt = e.subopt;
     se.usage = e.usage.value();
@@ -725,7 +726,7 @@ Status Scr::Restore(const std::vector<PlanPtr>& plans,
     return Status::InvalidArgument(
         "Restore requires a freshly constructed (empty) cache");
   }
-  std::vector<int> plan_ids;
+  std::vector<PlanStore::Entry*> plan_entries;
   for (const auto& plan : plans) {
     if (plan == nullptr) return Status::InvalidArgument("null plan");
     OptimizationResult fake;
@@ -734,11 +735,11 @@ Status Scr::Restore(const std::vector<PlanPtr>& plans,
     // Insert without the redundancy check (lambda_r < 1 disables it).
     PlanStore::StoreResult r = store_.StoreOrReuse(cached, {}, 0.0, -1.0,
                                                    /*engine=*/nullptr);
-    plan_ids.push_back(r.plan_id);
+    plan_entries.push_back(r.entry);
   }
   for (const auto& se : entries) {
     if (se.plan_ordinal < 0 ||
-        se.plan_ordinal >= static_cast<int>(plan_ids.size())) {
+        se.plan_ordinal >= static_cast<int>(plan_entries.size())) {
       return Status::InvalidArgument("instance entry has bad plan ordinal");
     }
     if (!(se.opt_cost > 0.0) || se.subopt < 1.0) {
@@ -752,12 +753,12 @@ Status Scr::Restore(const std::vector<PlanPtr>& plans,
     }
     InstanceEntry e;
     e.v = se.v;
-    e.plan_id = plan_ids[static_cast<size_t>(se.plan_ordinal)];
+    e.plan = plan_entries[static_cast<size_t>(se.plan_ordinal)];
     e.opt_cost = se.opt_cost;
     e.subopt = se.subopt;
     e.usage = se.usage;
     e.cost_check_disabled = se.cost_check_disabled;
-    store_.AddUsage(e.plan_id, se.usage);
+    e.plan->total_usage.Add(se.usage);
     AppendEntry(std::move(e));
     cost_sum_ += se.opt_cost;
     ++cost_count_;
@@ -767,21 +768,24 @@ Status Scr::Restore(const std::vector<PlanPtr>& plans,
 
 int Scr::DropRedundantPlans(EngineContext* engine) {
   int dropped = 0;
-  // A copy: dropping a plan edits the store's live list.
-  const std::span<const int> live = store_.LivePlanIds();
-  const std::vector<int> live_ids(live.begin(), live.end());
-  for (int plan_id : live_ids) {
+  // A copy: dropping a plan edits the store's list. Only the plan being
+  // examined is ever dropped, so every later handle in it stays live.
+  std::vector<PlanStore::Entry*> live;
+  for (const std::unique_ptr<PlanStore::Entry>& e : store_.live()) {
+    live.push_back(e.get());
+  }
+  for (PlanStore::Entry* plan : live) {
     // Collect the instances served by this plan.
     std::vector<size_t> served;
     for (size_t i = 0; i < instances_.size(); ++i) {
-      if (instances_[i].plan_id == plan_id) {
+      if (instances_[i].plan == plan) {
         served.push_back(i);
       }
     }
     // Each instance must have some *other* cached plan within its lambda
     // bound; record the best alternative per instance.
     struct Alt {
-      int plan_id = -1;
+      PlanStore::Entry* plan = nullptr;
       double subopt = 0.0;
     };
     std::vector<Alt> alts(served.size());
@@ -789,18 +793,18 @@ int Scr::DropRedundantPlans(EngineContext* engine) {
     for (size_t s = 0; s < served.size() && all_covered; ++s) {
       const InstanceEntry& e = instances_[served[s]];
       double best = std::numeric_limits<double>::infinity();
-      int best_id = -1;
-      for (int other : store_.LivePlanIds()) {
-        if (other == plan_id) continue;
-        double c = engine->Recost(*store_.entry(other).plan, e.v);
+      PlanStore::Entry* best_plan = nullptr;
+      for (const std::unique_ptr<PlanStore::Entry>& other : store_.live()) {
+        if (other.get() == plan) continue;
+        double c = engine->Recost(*other->plan, e.v);
         if (c < best) {
           best = c;
-          best_id = other;
+          best_plan = other.get();
         }
       }
       double subopt = best / std::max(e.opt_cost, 1e-30);
-      if (best_id >= 0 && subopt <= LambdaFor(e)) {
-        alts[s] = Alt{best_id, subopt};
+      if (best_plan != nullptr && subopt <= LambdaFor(e)) {
+        alts[s] = Alt{best_plan, subopt};
       } else {
         all_covered = false;
       }
@@ -809,12 +813,12 @@ int Scr::DropRedundantPlans(EngineContext* engine) {
     // Re-point the instances and drop the plan.
     for (size_t s = 0; s < served.size(); ++s) {
       InstanceEntry& e = instances_[served[s]];
-      e.plan_id = alts[s].plan_id;
+      e.plan = alts[s].plan;
       e.subopt = alts[s].subopt;
       log_bounds_[served[s]] = std::log(LambdaEnvelope() / e.subopt);
-      store_.AddUsage(alts[s].plan_id, e.usage.value());
+      alts[s].plan->total_usage.Add(e.usage.value());
     }
-    store_.Drop(plan_id);
+    store_.Drop(plan);
     ++dropped;
   }
   return dropped;

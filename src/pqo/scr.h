@@ -126,8 +126,8 @@ class Scr : public PqoTechnique {
                         PlanChoice* choice, int64_t start_ns);
 
   /// Marks `choice` degraded and emits its kDegraded decision, matched to
-  /// the served plan's store id, or to -1 when every retry failed on a
-  /// cache with nothing to serve. Read-only like TryServeDegraded.
+  /// the served plan's store id label, or to -1 when every retry failed on
+  /// a cache with nothing to serve. Read-only like TryServeDegraded.
   void RecordDegraded(const WorkloadInstance& wi, PlanChoice* choice,
                       int64_t start_ns, int plan_id = -1);
 
@@ -159,7 +159,7 @@ class Scr : public PqoTechnique {
   //
   // A fleet-level evictor compares LFU victims *across* caches, so these
   // expose the per-cache LFU frontier and a single-eviction entry point.
-  // Pins travel as plan signatures because plan ids are store-local; a
+  // Pins travel as plan signatures because plan records are store-local; a
   // pinned signature of 0 means "no pin".
 
   /// Aggregate usage count of this cache's LFU eviction victim, skipping a
@@ -198,7 +198,7 @@ class Scr : public PqoTechnique {
     bool cost_check_disabled = false;
   };
 
-  /// Live cached plans, in a stable ordinal order.
+  /// Live cached plans, in storage order.
   std::vector<PlanPtr> SnapshotPlans() const;
   /// Live instance entries referencing SnapshotPlans() ordinals.
   std::vector<SnapshotEntry> SnapshotInstances() const;
@@ -212,8 +212,8 @@ class Scr : public PqoTechnique {
   /// getPlan read path, hence relaxed atomics; the remaining fields only
   /// change under the exclusive lock.
   struct InstanceEntry {
-    SVector v;          // selectivity vector of the optimized instance
-    int plan_id = -1;   // PP: pointer into the plan store
+    SVector v;  // selectivity vector of the optimized instance
+    PlanStore::Entry* plan = nullptr;  // PP: the plan's record in the store
     double opt_cost = 0.0;  // C: optimal cost at this instance
     double subopt = 1.0;    // S: sub-optimality of plan at this instance
     RelaxedCounter<int64_t> usage = 0;  // U
@@ -285,15 +285,15 @@ class Scr : public PqoTechnique {
   void RecordAttemptTime(int64_t start_ns, int64_t end_ns) const;
 
 
-  /// Enforces the per-cache plan budget by LFU eviction. `pinned_plan_id`
-  /// is the plan just stored/chosen for the in-flight instance: it must
-  /// never be the victim (a fresh plan has usage 0 and would otherwise be
-  /// evicted immediately, leaving the new instance entry dangling).
-  void EvictForBudget(int instance_id, int pinned_plan_id);
+  /// Enforces the per-cache plan budget by LFU eviction. `pinned` is the
+  /// plan just stored/chosen for the in-flight instance: it must never be
+  /// the victim (a fresh plan has usage 0 and would otherwise be evicted
+  /// immediately, leaving the new instance entry dangling).
+  void EvictForBudget(int instance_id, const PlanStore::Entry* pinned);
 
   /// Drops one plan (emitting kEvicted) and the instance entries that point
   /// at it, which keeps the lambda guarantee intact (Section 6.3.1).
-  void DropPlanAndEntries(int victim, int instance_id);
+  void DropPlanAndEntries(PlanStore::Entry* victim, int instance_id);
 
   /// Bumps the matching decision counter and, with a tracer attached,
   /// stamps the instance, names, wall time (`end_ns - start_ns`, from
@@ -334,9 +334,9 @@ class Scr : public PqoTechnique {
   LogHistogram* get_plan_micros_ = nullptr;
   LogHistogram* manage_cache_micros_ = nullptr;
   LogHistogram* cost_check_candidates_ = nullptr;
-  /// Per-stage latency histograms ("stage.<name>_micros"), resolved once
-  /// at SetObs time (cached-sink-pointer pattern).
-  StageHistograms stage_hists_;
+  /// "stage.sel_check_micros": the selectivity-check scan of every reuse
+  /// attempt.
+  LogHistogram* sel_check_micros_ = nullptr;
 };
 
 }  // namespace scrpqo

@@ -1,10 +1,10 @@
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cstdint>
 #include <limits>
 #include <memory>
 #include <span>
+#include <vector>
 
 #include "pqo/plan_store.h"
 #include "query/query_instance.h"
@@ -43,7 +43,9 @@ TEST_F(PlanStoreTest, StoresNewPlan) {
   PlanStore store;
   Optimized o = OptimizeAt(0.1, 0.5);
   auto r = store.StoreOrReuse(o.plan, o.sv, o.cost, -1.0, &engine_);
-  EXPECT_GE(r.plan_id, 0);
+  ASSERT_NE(r.entry, nullptr);
+  EXPECT_EQ(r.entry->id, 0);
+  EXPECT_EQ(r.entry->plan->signature, o.plan.signature);
   EXPECT_FALSE(r.already_present);
   EXPECT_FALSE(r.reused_existing);
   EXPECT_EQ(r.subopt, 1.0);
@@ -59,7 +61,7 @@ TEST_F(PlanStoreTest, DetectsAlreadyPresent) {
   auto rb = store.StoreOrReuse(b.plan, b.sv, b.cost, -1.0, &engine_);
   if (a.plan.signature == b.plan.signature) {
     EXPECT_TRUE(rb.already_present);
-    EXPECT_EQ(ra.plan_id, rb.plan_id);
+    EXPECT_EQ(ra.entry, rb.entry);
     EXPECT_EQ(store.NumLive(), 1);
   } else {
     EXPECT_EQ(store.NumLive(), 2);
@@ -69,7 +71,7 @@ TEST_F(PlanStoreTest, DetectsAlreadyPresent) {
 TEST_F(PlanStoreTest, RedundancyCheckReusesCloseEnoughPlan) {
   PlanStore store;
   Optimized a = OptimizeAt(0.10, 0.50);
-  store.StoreOrReuse(a.plan, a.sv, a.cost, -1.0, &engine_);
+  auto ra = store.StoreOrReuse(a.plan, a.sv, a.cost, -1.0, &engine_);
   // Find an instance with a different optimal plan.
   for (double s0 : {0.001, 0.3, 0.6, 0.95}) {
     Optimized b = OptimizeAt(s0, 0.9);
@@ -77,6 +79,7 @@ TEST_F(PlanStoreTest, RedundancyCheckReusesCloseEnoughPlan) {
     // With an absurdly loose threshold the new plan must be rejected.
     auto r = store.StoreOrReuse(b.plan, b.sv, b.cost, 1e9, &engine_);
     EXPECT_TRUE(r.reused_existing);
+    EXPECT_EQ(r.entry, ra.entry);
     EXPECT_GE(r.subopt, 1.0);
     EXPECT_EQ(store.NumLive(), 1);
     return;
@@ -103,24 +106,31 @@ TEST_F(PlanStoreTest, DropAndUsageTracking) {
   if (a.plan.signature == b.plan.signature) {
     GTEST_SKIP() << "need two distinct plans";
   }
-  store.AddUsage(ra.plan_id, 5);
-  store.AddUsage(rb.plan_id, 2);
-  EXPECT_EQ(store.MinUsagePlanId(), rb.plan_id);
-  store.Drop(rb.plan_id);
+  ra.entry->total_usage.Add(5);
+  rb.entry->total_usage.Add(2);
+  EXPECT_EQ(store.MinUsage(), rb.entry);
+  EXPECT_EQ(store.MinUsage(rb.entry), ra.entry);
+  store.Drop(rb.entry);
   EXPECT_EQ(store.NumLive(), 1);
   EXPECT_EQ(store.Peak(), 2);  // peak is sticky
-  EXPECT_EQ(store.MinUsagePlanId(), ra.plan_id);
-  EXPECT_EQ(store.LivePlanIds().size(), 1u);
+  EXPECT_EQ(store.MinUsage(), ra.entry);
+  EXPECT_EQ(store.MinUsage(ra.entry), nullptr);
+  EXPECT_EQ(store.FindBySignature(b.plan.signature), nullptr);
+  EXPECT_EQ(store.FindBySignature(a.plan.signature), ra.entry);
+  ASSERT_EQ(store.live().size(), 1u);
+  EXPECT_EQ(store.live()[0].get(), ra.entry);
 }
 
 TEST_F(PlanStoreTest, DroppedSignatureCanBeReinserted) {
   PlanStore store;
   Optimized a = OptimizeAt(0.2, 0.2);
   auto r1 = store.StoreOrReuse(a.plan, a.sv, a.cost, -1.0, &engine_);
-  store.Drop(r1.plan_id);
+  const int first_id = r1.entry->id;
+  store.Drop(r1.entry);
   auto r2 = store.StoreOrReuse(a.plan, a.sv, a.cost, -1.0, &engine_);
   EXPECT_FALSE(r2.already_present);
-  EXPECT_NE(r2.plan_id, r1.plan_id);
+  EXPECT_NE(r2.entry->id, first_id);
+  EXPECT_EQ(store.FindBySignature(a.plan.signature), r2.entry);
   EXPECT_EQ(store.NumLive(), 1);
 }
 
@@ -129,84 +139,74 @@ TEST_F(PlanStoreTest, DropReleasesThePlan) {
   Optimized o = OptimizeAt(0.2, 0.6);
   auto r = store.StoreOrReuse(o.plan, o.sv, o.cost, -1.0, &engine_);
   // Held the way a PlanChoice serving the plan holds it.
-  std::shared_ptr<const CachedPlan> served = store.entry(r.plan_id).plan;
+  std::shared_ptr<const CachedPlan> served = r.entry->plan;
   std::weak_ptr<const CachedPlan> watch = served;
-  store.Drop(r.plan_id);
-  EXPECT_EQ(store.entry(r.plan_id).plan, nullptr);
+  store.Drop(r.entry);
+  EXPECT_EQ(store.NumLive(), 0);
+  EXPECT_TRUE(store.live().empty());
   EXPECT_FALSE(watch.expired()) << "a served plan must outlive its eviction";
   served.reset();
   EXPECT_TRUE(watch.expired()) << "the store kept an evicted plan alive";
 }
 
-TEST_F(PlanStoreTest, EntryOutOfRangeDies) {
-  PlanStore store;
-  Optimized o = OptimizeAt(0.2, 0.6);
-  auto r = store.StoreOrReuse(o.plan, o.sv, o.cost, -1.0, &engine_);
-  // Ids handed out by StoreOrReuse stay valid (even after Drop — dead
-  // entries remain readable); anything else must abort, not index past
-  // the entry vector.
-  EXPECT_NO_FATAL_FAILURE((void)store.entry(r.plan_id));
-  EXPECT_DEATH((void)store.entry(-1), "plan id out of range");
-  EXPECT_DEATH((void)store.entry(r.plan_id + 1), "plan id out of range");
-  EXPECT_DEATH(store.AddUsage(12345, 1), "plan id out of range");
-}
-
 TEST_F(PlanStoreTest, LiveListSkipsDeadPlansAndKeepsLowestIdTies) {
   // 1,000 plans (one optimized plan under distinct signatures) with usage
-  // counts full of ties, every other one dropped: the live list holds the
-  // survivors in ascending id order, and the LFU victim equals a scan over
-  // every id ever stored, ties to the lowest id, with and without a pin.
+  // counts full of ties, every other one dropped: the store lists the
+  // survivors oldest first, and the LFU victim equals a scan over every
+  // plan ever stored, ties to the oldest, with and without a pin.
   PlanStore store;
   const Optimized o = OptimizeAt(0.1, 0.5);
   const int n = 1000;
+  std::vector<PlanStore::Entry*> stored;
   for (int i = 0; i < n; ++i) {
     CachedPlan plan = o.plan;
     plan.signature = 0x9e3779b97f4a7c15ULL * static_cast<uint64_t>(i + 1);
     auto r = store.StoreOrReuse(plan, o.sv, o.cost, -1.0, &engine_);
-    ASSERT_EQ(r.plan_id, i);
-    store.AddUsage(i, (i * 37) % 11);
+    ASSERT_EQ(r.entry->id, i);
+    r.entry->total_usage.Add((i * 37) % 11);
+    stored.push_back(r.entry);
   }
-  for (int i = 0; i < n; i += 2) store.Drop(i);
+  for (int i = 0; i < n; i += 2) {
+    store.Drop(stored[static_cast<size_t>(i)]);
+    stored[static_cast<size_t>(i)] = nullptr;
+  }
 
-  const std::span<const int> live = store.LivePlanIds();
+  const std::span<const std::unique_ptr<PlanStore::Entry>> live =
+      store.live();
   ASSERT_EQ(live.size(), static_cast<size_t>(n / 2));
   EXPECT_EQ(store.NumLive(), n / 2);
-  EXPECT_TRUE(std::adjacent_find(live.begin(), live.end(),
-                                 [](int a, int b) { return a >= b; }) ==
-              live.end())
-      << "live ids are not strictly ascending";
-  for (int id : live) {
-    EXPECT_EQ(id % 2, 1);
-    EXPECT_TRUE(store.entry(id).live);
+  for (size_t k = 0; k < live.size(); ++k) {
+    EXPECT_EQ(live[k]->id, static_cast<int>(2 * k + 1));
+    EXPECT_EQ(live[k].get(), stored[2 * k + 1]);
   }
 
-  const auto reference = [&](int exclude) {
-    int best = -1;
+  const auto reference = [&](const PlanStore::Entry* exclude) {
+    PlanStore::Entry* best = nullptr;
     int64_t best_usage = std::numeric_limits<int64_t>::max();
-    for (int id = 0; id < n; ++id) {
-      const PlanStore::Entry& e = store.entry(id);
-      if (!e.live || id == exclude) continue;
-      if (e.total_usage.value() < best_usage) {
-        best_usage = e.total_usage.value();
-        best = id;
+    for (PlanStore::Entry* e : stored) {
+      if (e == nullptr || e == exclude) continue;
+      if (e->total_usage.value() < best_usage) {
+        best_usage = e->total_usage.value();
+        best = e;
       }
     }
     return best;
   };
-  const int victim = store.MinUsagePlanId();
-  EXPECT_EQ(victim, reference(-1));
-  EXPECT_EQ(victim, 11);  // the lowest odd id with usage 0
-  for (int exclude : {victim, 0, 33, n - 1, n + 5}) {
-    EXPECT_EQ(store.MinUsagePlanId(exclude), reference(exclude)) << exclude;
+  PlanStore::Entry* const victim = store.MinUsage();
+  EXPECT_EQ(victim, reference(nullptr));
+  EXPECT_EQ(victim->id, 11);  // the oldest odd id with usage 0
+  for (int pin : {11, 1, 33, n - 1}) {
+    const PlanStore::Entry* exclude = stored[static_cast<size_t>(pin)];
+    EXPECT_EQ(store.MinUsage(exclude), reference(exclude)) << pin;
   }
-  EXPECT_EQ(store.MinUsagePlanId(victim), 33);
+  EXPECT_EQ(store.MinUsage(victim)->id, 33);
 
   // Ids are never reused: the next plan gets a new id at the list's end.
   CachedPlan next = o.plan;
   next.signature = 42;
   auto r = store.StoreOrReuse(next, o.sv, o.cost, -1.0, &engine_);
-  EXPECT_EQ(r.plan_id, n);
-  EXPECT_EQ(store.LivePlanIds().back(), n);
+  EXPECT_EQ(r.entry->id, n);
+  EXPECT_EQ(store.live().back().get(), r.entry);
   EXPECT_EQ(store.NumLive(), n / 2 + 1);
   EXPECT_EQ(store.Peak(), n);
 }

@@ -318,25 +318,5 @@ TEST(PqoManagerConcurrentTest, StatuszJsonRacesServingAndInvalidation) {
   }
 }
 
-TEST(PqoManagerConcurrentTest, ShardLockWaitHistogramPopulated) {
-  TemplateFleet fleet(4, 4);
-  PqoManagerOptions opts;
-  opts.num_shards = 2;
-  PqoManager mgr(opts);
-  MetricsRegistry registry;
-  mgr.SetObs(ObsHooks{nullptr, &registry});
-
-  MultiTemplateRunOptions run;
-  run.threads = 2;
-  run.rounds = 2;
-  (void)RunMultiTemplate(&mgr, fleet.served(), run);
-
-  auto snap = registry.Snapshot();
-  const HistogramSnapshot* h =
-      snap.FindHistogram("pqo_manager.shard_lock_wait");
-  ASSERT_NE(h, nullptr);
-  EXPECT_GT(h->count, 0);
-}
-
 }  // namespace
 }  // namespace scrpqo

@@ -3,12 +3,14 @@
 // CostModel::RecostTree oracle, bill exactly the plans its visitor sees,
 // and run on a fixed stack; the warmed getPlan reuse path around it must
 // not touch the heap (asserted through the ScratchArena watermark plus a
-// global operator-new counter).
+// global operator-new counter), and the plan store must not grow under
+// store/drop churn (asserted through the counter's live-byte total).
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <cstddef>
 #include <cstdlib>
 #include <memory>
 #include <new>
@@ -23,6 +25,7 @@
 #include "obs/span.h"
 #include "optimizer/optimizer.h"
 #include "optimizer/recost.h"
+#include "pqo/plan_store.h"
 #include "pqo/pqo_manager.h"
 #include "pqo/scr.h"
 #include "query/query_instance.h"
@@ -34,34 +37,55 @@
 // every other test is unaffected. The zero-allocation tests read the
 // counters around their measured windows: the process-wide one, or the
 // calling thread's own where background threads (the trace exporter,
-// AsyncScr workers) run alongside the serving thread.
+// AsyncScr workers) run alongside the serving thread. Each block also
+// carries its size in a header, so every delete form can keep a
+// process-wide total of live bytes.
 // ---------------------------------------------------------------------------
 
 static std::atomic<int64_t> g_heap_allocs{0};
+static std::atomic<int64_t> g_live_heap_bytes{0};
 static thread_local int64_t t_heap_allocs = 0;
 
-static void* CountedAlloc(std::size_t n) {
+// A multiple of the default new alignment, so the user block stays aligned.
+static constexpr std::size_t kSizeHeader = alignof(std::max_align_t);
+
+static void* CountedMalloc(std::size_t n) noexcept {
   g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
   ++t_heap_allocs;
-  if (n == 0) n = 1;
-  void* p = std::malloc(n);
+  void* block = std::malloc(n + kSizeHeader);
+  if (block == nullptr) return nullptr;
+  *static_cast<std::size_t*>(block) = n;
+  g_live_heap_bytes.fetch_add(static_cast<int64_t>(n),
+                              std::memory_order_relaxed);
+  return static_cast<char*>(block) + kSizeHeader;
+}
+
+static void* CountedAlloc(std::size_t n) {
+  void* p = CountedMalloc(n);
   if (p == nullptr) throw std::bad_alloc();
   return p;
+}
+
+static void CountedFree(void* p) noexcept {
+  if (p == nullptr) return;
+  char* block = static_cast<char*>(p) - kSizeHeader;
+  g_live_heap_bytes.fetch_sub(
+      static_cast<int64_t>(*reinterpret_cast<std::size_t*>(block)),
+      std::memory_order_relaxed);
+  std::free(block);
 }
 
 void* operator new(std::size_t n) { return CountedAlloc(n); }
 void* operator new[](std::size_t n) { return CountedAlloc(n); }
 void* operator new(std::size_t n, const std::nothrow_t&) noexcept {
-  g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
-  ++t_heap_allocs;
-  return std::malloc(n == 0 ? 1 : n);
+  return CountedMalloc(n);
 }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p) noexcept { CountedFree(p); }
+void operator delete[](void* p) noexcept { CountedFree(p); }
+void operator delete(void* p, std::size_t) noexcept { CountedFree(p); }
+void operator delete[](void* p, std::size_t) noexcept { CountedFree(p); }
 void operator delete(void* p, const std::nothrow_t&) noexcept {
-  std::free(p);
+  CountedFree(p);
 }
 
 namespace scrpqo {
@@ -549,8 +573,9 @@ TEST(ScrZeroAllocTest, TracedRoutedPathAllocatesNothing) {
 TEST(TracedDecisionClockTest, RoutedHitsReuseStageStamps) {
   // Tracing reads the clock only in the stage timers: the attempt's
   // start, the event's wall time and scr.get_plan_micros reuse their
-  // stamps. A routed sel-check hit reads it 4 times (shard wait and
-  // sel_check, start and stop), a cost-check hit 6 (plus batch_recost).
+  // stamps, and routing reads none. A routed sel-check hit reads it twice
+  // (sel_check start and stop), a cost-check hit 4 times (plus
+  // batch_recost).
   ReuseWorkload w;
   RoutedTracedServing serving(w);
   int sel_hits = 0;
@@ -563,14 +588,64 @@ TEST(TracedDecisionClockTest, RoutedHitsReuseStageStamps) {
     ASSERT_FALSE(c.optimized);
     if (c.recost_calls_in_get_plan == 0) {
       ++sel_hits;
-      EXPECT_LE(reads, 4u) << "sel-check hit, instance " << wi.id;
+      EXPECT_LE(reads, 2u) << "sel-check hit, instance " << wi.id;
     } else {
       ++cost_hits;
-      EXPECT_LE(reads, 6u) << "cost-check hit, instance " << wi.id;
+      EXPECT_LE(reads, 4u) << "cost-check hit, instance " << wi.id;
     }
   }
   EXPECT_GT(sel_hits, 0);
   EXPECT_GT(cost_hits, 0);
+}
+
+TEST(StageHistogramTest, RoutedTrafficRegistersOnlyTheSelCheckStage) {
+  // Of the stage timers, only the selectivity check records into a
+  // "stage.*" histogram; the other stages time into their layers' own
+  // histograms (engine.*_micros, scr.manage_cache_micros), so no other
+  // stage.* series may sit in the export at count 0.
+  ReuseWorkload w;
+  RoutedTracedServing serving(w, /*use_async=*/false);
+  for (const WorkloadInstance& wi : serving.hits) {
+    (void)serving.manager.OnInstance(serving.key, wi, &serving.engine);
+  }
+  const RegistrySnapshot snap = serving.registry.Snapshot();
+  int stage_series = 0;
+  for (const HistogramSnapshot& h : snap.histograms) {
+    if (h.name.rfind("stage.", 0) != 0) continue;
+    ++stage_series;
+    EXPECT_EQ(h.name, "stage.sel_check_micros");
+    EXPECT_GT(h.count, 0) << h.name;
+  }
+  EXPECT_EQ(stage_series, 1);
+}
+
+TEST(PlanStoreHeapTest, StoreDropChurnKeepsLiveBytesFlat) {
+  // The store keeps only live plans: after 100,000 store/drop cycles
+  // (distinct signatures; lambda_r < 1, so nothing is recosted) the heap
+  // holds what it held after the first 1,000.
+  ReuseWorkload w;
+  const WorkloadInstance wi = w.Make(0, 0.2, 0.6);
+  const OptimizationResult r = w.optimizer.Optimize(wi.instance);
+  const CachedPlan base = MakeCachedPlan(r);
+  PlanStore store;
+  int64_t live_after_warmup = 0;
+  for (int i = 0; i < 100000; ++i) {
+    if (i == 1000) {
+      live_after_warmup = g_live_heap_bytes.load(std::memory_order_relaxed);
+    }
+    CachedPlan plan = base;
+    plan.signature = 0x9e3779b97f4a7c15ULL * static_cast<uint64_t>(i + 1);
+    PlanStore::StoreResult stored =
+        store.StoreOrReuse(plan, wi.svector, r.cost, -1.0, nullptr);
+    ASSERT_FALSE(stored.already_present);
+    ASSERT_EQ(stored.entry->id, i);
+    store.Drop(stored.entry);
+  }
+  EXPECT_EQ(g_live_heap_bytes.load(std::memory_order_relaxed),
+            live_after_warmup)
+      << "store/drop churn left heap behind";
+  EXPECT_EQ(store.NumLive(), 0);
+  EXPECT_EQ(store.Peak(), 1);
 }
 
 }  // namespace

@@ -12,8 +12,8 @@ Path-scoped rules check each line of the files in their path scope
                              order.
   blocking-under-lock        src/pqo/: no engine Optimize, sink
                              Consume/Flush, stream/file I/O, sleep or
-                             thread join while a Mutex/SharedMutex scope is
-                             active, and no condition-variable wait on a
+                             thread join while a scoped guard's lock scope
+                             is active, and no condition-variable wait on a
                              mutex other than the held ones. A call made in
                              such a scope is a finding when its callee
                              reaches a `block` effect or
@@ -28,8 +28,10 @@ Path-scoped rules check each line of the files in their path scope
                              or Result carries [[nodiscard]].
   raw-mutex                  src/ outside common/thread_annotations.h: no
                              raw std mutex, condition variable or lock
-                             adapter. They are invisible to the
-                             thread-safety analysis.
+                             adapter, which the thread-safety analysis
+                             cannot see, and no manual Lock()/Unlock()/
+                             LockShared()/UnlockShared(): a hand-managed
+                             scope is one blocking-under-lock cannot see.
 
 Effect rules prove transitive contracts over the project call graph. The
 analyzer extracts every function definition under src/, computes a direct
@@ -157,7 +159,7 @@ FP_INTRINSIC_SANCTIONED = ("src/common/simd.h",)
 # Files sanctioned to call raw libm transcendentals (the Vec* wrappers).
 FP_LIBM_SANCTIONED = ("src/common/simd.h",)
 
-GUARD_TYPES = {"MutexLock", "ReaderMutexLock", "WriterMutexLock", "ShardLock"}
+GUARD_TYPES = {"MutexLock", "ReaderMutexLock", "WriterMutexLock"}
 MUTEX_TYPES = {"Mutex", "SharedMutex"}
 LOCK_METHODS = {"Lock", "LockShared"}
 
@@ -478,12 +480,8 @@ def check_atomic_order(src: SourceFile):
 # Scope-guard declarations: `MutexLock l(mu);` and friends; group 2 is the
 # argument list, whose last identifier names the capability.
 GUARD_DECL_RE = re.compile(
-    r"\b(MutexLock|ReaderMutexLock|WriterMutexLock|ShardLock)\s+\w+\s*"
+    r"\b(MutexLock|ReaderMutexLock|WriterMutexLock)\s+\w+\s*"
     r"\(([^;]*)")
-MANUAL_LOCK_RE = re.compile(
-    r"\b([\w.\->]+?)\s*(?:\.|->)\s*Lock(?:Shared)?\s*\(\s*\)")
-MANUAL_UNLOCK_RE = re.compile(
-    r"\b([\w.\->]+?)\s*(?:\.|->)\s*Unlock(?:Shared)?\s*\(\s*\)")
 BLOCKING_CALL_RE = re.compile(
     r"(?:"
     r"\b\w+\s*(?:\.|->)\s*(Optimize|Consume|Flush|ObserveDrop|join)\s*\(|"
@@ -495,7 +493,6 @@ BLOCKING_CALL_RE = re.compile(
 # A condition-variable wait; group 1 is the mutex it waits on.
 CONDVAR_WAIT_RE = re.compile(
     r"(?:\.|->)\s*(?:Wait|WaitFor)\s*\(\s*(?:[\w.]+(?:\.|->))?(\w+)\s*[,)]")
-NAMESPACE_LINE_RE = re.compile(r"\s*(?:inline\s+)?namespace\b")
 # The call the blocking-under-lock rule looks for behind every call made
 # under a lock, besides `block` effects.
 OPTIMIZER_CALL = ("EngineContext", "Optimize")
@@ -508,46 +505,29 @@ def _last_ident(text: str) -> str:
 
 def lock_scopes(src: SourceFile) -> dict[int, set[str]]:
     """1-based line -> the capabilities held there, for every line inside
-    a lock scope (a guard's own line excluded)."""
-    # Track lock scopes with a brace stack. Each entry records whether the
-    # brace opened a namespace scope: when only namespace braces remain
-    # open we are between functions, which resets the manual Lock()/
-    # Unlock() pairing (a ctor that hands its lock to the dtor, like
-    # ShardLock, must not poison the rest of the file). A guard declared
-    # at stack depth d is active until a `}` takes the stack below d — a
-    # nested sub-scope closing back TO d keeps the lock held.
+    a scoped guard's scope (the guard's own line excluded). Only guards
+    open scopes: a manual Lock()/Unlock() is a raw-mutex finding."""
+    # Track lock scopes with a brace stack. A guard declared at stack depth
+    # d is active until a `}` takes the stack below d — a nested sub-scope
+    # closing back TO d keeps the lock held.
     held: dict[int, set[str]] = {}
-    brace_stack: list[bool] = []  # True = namespace brace
+    depth = 0
     guards: list[tuple[int, str]] = []  # (depth, capability)
-    manual_locks: list[str] = []
     for idx, line in enumerate(src.code_lines):
         gm = GUARD_DECL_RE.search(line)
-        if (guards or manual_locks) and not gm:
-            held[idx + 1] = {cap for _, cap in guards} | \
-                {_last_ident(m) for m in manual_locks}
+        if guards and not gm:
+            held[idx + 1] = {cap for _, cap in guards}
         if gm:
-            guards.append((len(brace_stack), _last_ident(gm.group(2))))
-        for m in MANUAL_LOCK_RE.finditer(line):
-            manual_locks.append(m.group(1))
-        for m in MANUAL_UNLOCK_RE.finditer(line):
-            if m.group(1) in manual_locks:
-                manual_locks.remove(m.group(1))
+            guards.append((depth, _last_ident(gm.group(2))))
         # Apply brace deltas after the line so a guard's own line counts
-        # as inside its scope only from the next line on. Only the first
-        # `{` of a `namespace ... {` line is the namespace brace.
-        ns_brace_pending = bool(NAMESPACE_LINE_RE.match(line))
+        # as inside its scope only from the next line on.
         for ch in line:
             if ch == "{":
-                brace_stack.append(ns_brace_pending)
-                ns_brace_pending = False
+                depth += 1
             elif ch == "}":
-                if brace_stack:
-                    brace_stack.pop()
-                while guards and len(brace_stack) < guards[-1][0]:
+                depth = max(depth - 1, 0)
+                while guards and depth < guards[-1][0]:
                     guards.pop()
-        if all(brace_stack):  # only namespace scopes (or nothing) open
-            manual_locks.clear()
-            guards.clear()
     return held
 
 
@@ -678,6 +658,9 @@ RAW_MUTEX_RE = re.compile(
     r"condition_variable(?:_any)?|lock_guard|unique_lock|scoped_lock|"
     r"shared_lock)\b"
 )
+# A hand-managed acquire or release: `mu_.Lock()`, `p->UnlockShared()`.
+MANUAL_LOCK_RE = re.compile(
+    r"(?:\.|->)\s*(UnlockShared|LockShared|Unlock|Lock)\s*\(\s*\)")
 
 
 def check_raw_mutex(src: SourceFile):
@@ -688,6 +671,13 @@ def check_raw_mutex(src: SourceFile):
                 f"raw std::{m.group(1)} — use the annotated primitives in "
                 "common/thread_annotations.h (raw sync objects are "
                 "invisible to the thread-safety analysis)")
+            continue
+        m = MANUAL_LOCK_RE.search(line)
+        if m:
+            yield idx + 1, (
+                f"manual {m.group(1)}() — hold the lock with a scoped guard "
+                "(MutexLock, ReaderMutexLock, WriterMutexLock); a "
+                "hand-managed scope is invisible to blocking-under-lock")
 
 
 # rule -> (path prefixes it checks, prefixes exempt from it, check)

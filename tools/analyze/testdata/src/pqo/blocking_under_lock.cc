@@ -1,5 +1,5 @@
 // Fixture for the blocking-under-lock rule: no optimizer / sink / I-O call
-// while a Mutex or SharedMutex scope is active.
+// while a scoped guard holds a Mutex or SharedMutex.
 
 namespace scrpqo_fixture {
 
@@ -28,9 +28,11 @@ struct Cache {
   }
 
   void FanOutUnderManualLock(int batch) {
-    mu_.Lock();
-    sink_->Consume(batch);  // effects-expect(blocking-under-lock)
-    mu_.Unlock();
+    // A hand-managed scope is not followed (only guards open lock scopes),
+    // so the shape itself is the finding.
+    mu_.Lock();  // effects-expect(raw-mutex)
+    sink_->Consume(batch);
+    mu_.Unlock();  // effects-expect(raw-mutex)
   }
 
   void SurvivesNestedScope(int wi) {
